@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +13,7 @@ import pytest
 from pinsep.cli import load_config, main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SAMPLE = """\
 p: 2
@@ -126,6 +128,152 @@ def test_intersect_and_compositum(config_path):
     assert json.loads(out)["degree_log"] == 4
 
 
+# Exact stdout of the commands whose reports are built outside the golden
+# set, pinned byte for byte (text and --json) on the SAMPLE context.
+PINNED = [
+    pytest.param(["truncate", "K", "--n", "1"], """\
+k_1 of K: degree p^1
+  1
+  rt(X,1)
+""", """\
+{
+  "schema_version": 1,
+  "kind": "truncate",
+  "field": "K",
+  "n": 1,
+  "degree_log": 1,
+  "generators": [
+    "1",
+    "rt(X,1)"
+  ]
+}
+""", id="truncate"),
+    pytest.param(["intersect", "K", "L"], """\
+intersect(K, L): degree p^1; linearly disjoint over k: True
+""", """\
+{
+  "schema_version": 1,
+  "kind": "intersect",
+  "fields": [
+    "K",
+    "L"
+  ],
+  "degree_log": 1,
+  "generators": [
+    "1",
+    "rt(X,1)"
+  ],
+  "linearly_disjoint": true
+}
+""", id="intersect"),
+    pytest.param(["compositum", "K", "L"], """\
+compositum(K, L): degree p^4; linearly disjoint over k: True
+""", """\
+{
+  "schema_version": 1,
+  "kind": "compositum",
+  "fields": [
+    "K",
+    "L"
+  ],
+  "degree_log": 4,
+  "generators": [
+    "rt(X,2)",
+    "rt(X,2)*rt(Y,1)+rt(Z,1)",
+    "rt(X,1)",
+    "rt(Y,1)"
+  ],
+  "linearly_disjoint": true
+}
+""", id="compositum"),
+    pytest.param(["member", "rt(X,1)", "K"], """\
+rt(X,1) in K: True
+""", """\
+{
+  "schema_version": 1,
+  "kind": "member",
+  "element": "rt(X,1)",
+  "field": "K",
+  "verdict": true
+}
+""", id="member_in"),
+    pytest.param(["member", "rt(Y,1)", "K"], """\
+rt(Y,1) in K: False
+""", """\
+{
+  "schema_version": 1,
+  "kind": "member",
+  "element": "rt(Y,1)",
+  "field": "K",
+  "verdict": false
+}
+""", id="member_out"),
+]
+
+PINNED_CLAIMS_TEXT = """\
+PASS exe4.truncation_identity: k_j = k(X^(1/p^j), theta_1, ..., theta_{j-1})
+PASS exe4.rp_trend [surrogate]: k(K_m^p) contains X^(1/p^(m-1)) \
+(surrogate: the relatively perfect closure is k(X^(1/p^oo)))
+"""
+
+PINNED_CLAIMS_JSON = """\
+{
+  "schema_version": 1,
+  "kind": "claims",
+  "family": {
+    "name": "exe4",
+    "p": 2,
+    "variables": [
+      "X",
+      "Y1",
+      "Z1",
+      "Y2",
+      "Z2"
+    ],
+    "params": {
+      "n": 3,
+      "p": 2
+    },
+    "max_stage": 3,
+    "notes": "lq-finite but not absolutely lq-finite; the theta_i form an \
+unbounded r-base over k(K^p)"
+  },
+  "claims": [
+    {
+      "id": "truncation_identity",
+      "description": "k_j = k(X^(1/p^j), theta_1, ..., theta_{j-1})",
+      "op": "subfields.truncation",
+      "horizon": "j <= 3",
+      "surrogate": false,
+      "passed": true
+    },
+    {
+      "id": "rp_trend",
+      "description": "k(K_m^p) contains X^(1/p^(m-1)) (surrogate: the \
+relatively perfect closure is k(X^(1/p^oo)))",
+      "op": "subfields.frobenius_image",
+      "horizon": "2 <= m <= 3",
+      "surrogate": true,
+      "passed": true
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("argv,text,as_json", PINNED)
+def test_pinned_stdout(config_path, argv, text, as_json):
+    assert run_cli("--context", config_path, *argv) == (0, text, "")
+    assert run_cli("--context", config_path, "--json", *argv) \
+        == (0, as_json, "")
+
+
+def test_pinned_claims_stdout():
+    argv = ["family", "exe4", "claims", "--n", "3"]
+    assert run_cli(*argv) == (0, PINNED_CLAIMS_TEXT, "")
+    assert run_cli("--json", *argv) == (0, PINNED_CLAIMS_JSON, "")
+
+
 def test_family_stage_reference(config_path):
     rc, out, _ = run_cli("--context", config_path, "--json",
                          "invariants", "diag:2")
@@ -220,6 +368,27 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "lpi = 3" in proc.stdout
+
+
+def run_module(*argv, **env):
+    """Run `python -m pinsep.cli` in a fresh interpreter with extra env."""
+    full_env = dict(os.environ, **env)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=full_env, timeout=120)
+
+
+@pytest.mark.parametrize("seed", ["0", "7", "999"])
+@pytest.mark.parametrize("name,args", [
+    ("invariants_exe1_3.json", ["--json", "invariants", "exe1:3"]),
+    ("utable_modular_diag_h3.json",
+     ["--json", "utable", "modular_diag", "--horizon", "3", "--smax", "2"]),
+])
+def test_golden_independent_of_hash_seed(name, args, seed):
+    proc = run_module("-m", "pinsep.cli", *args, PYTHONHASHSEED=seed)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_text()
 
 
 def test_family_survey_script():
