@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 
 import yaml
 
@@ -22,7 +23,7 @@ from . import report as rpt
 from .exprs import ExprError, parse_element
 from .invariants import HorizonInsufficient, InternalInconsistency, \
     di as inv_di
-from .perfect import CapExceeded, Context, PerfElem
+from .perfect import CapExceeded, Context
 from .subfields import Subfield
 from .towers import FAMILIES, NotConstructible, TowerFamily, family as make_family
 
@@ -151,6 +152,15 @@ def resolve_field(cfg, name) -> tuple:
         f"stages ({', '.join(sorted(set(FAMILIES) - {'exe3'}))}) resolve")
 
 
+def resolve_pair(cfg, name1, name2) -> tuple:
+    """Resolve two field references of one context to (K, L, names)."""
+    K, kname = resolve_field(cfg, name1)
+    L, lname = resolve_field(cfg, name2)
+    if K.ctx != L.ctx:
+        raise ConfigError("the two fields live in different contexts")
+    return K, L, (kname, lname)
+
+
 def parse_params(text) -> dict:
     out = {}
     if not text:
@@ -195,68 +205,24 @@ def cmd_modular(args, cfg):
 
 def cmd_truncate(args, cfg):
     K, name = resolve_field(cfg, args.field)
-    trunc = K.truncation(args.n)
-    rep = {
-        "schema_version": rpt.SCHEMA_VERSION,
-        "kind": "truncate",
-        "field": name,
-        "n": args.n,
-        "degree_log": trunc.field.degree_log,
-        "generators": [g.render() for g in trunc.field.gens],
-    }
-    if args.json:
-        print(rpt.to_json(rep))
-    else:
-        print(f"k_{args.n} of {name}: degree p^{rep['degree_log']}")
-        for g in rep["generators"]:
-            print(f"  {g}")
-
-
-def _binary(args, cfg, op_name):
-    K, kname = resolve_field(cfg, args.field1)
-    L, lname = resolve_field(cfg, args.field2)
-    if K.ctx != L.ctx:
-        raise ConfigError("the two fields live in different contexts")
-    result = K.compositum(L) if op_name == "compositum" else K.intersect(L)
-    rep = {
-        "schema_version": rpt.SCHEMA_VERSION,
-        "kind": op_name,
-        "fields": [kname, lname],
-        "degree_log": result.degree_log,
-        "generators": [g.render() for g in result.gens],
-        "linearly_disjoint": K.linearly_disjoint(L),
-    }
-    if args.json:
-        print(rpt.to_json(rep))
-    else:
-        print(f"{op_name}({kname}, {lname}): degree p^{result.degree_log}; "
-              f"linearly disjoint over k: {rep['linearly_disjoint']}")
+    _emit(args, rpt.truncate_report(K, args.n, name=name))
 
 
 def cmd_intersect(args, cfg):
-    _binary(args, cfg, "intersect")
+    K, L, names = resolve_pair(cfg, args.field1, args.field2)
+    _emit(args, rpt.lattice_report("intersect", K, L, names))
 
 
 def cmd_compositum(args, cfg):
-    _binary(args, cfg, "compositum")
+    K, L, names = resolve_pair(cfg, args.field1, args.field2)
+    _emit(args, rpt.lattice_report("compositum", K, L, names))
 
 
 def cmd_member(args, cfg):
     K, name = resolve_field(cfg, args.field)
     bindings = cfg.bindings if cfg else None
     e = parse_element(K.ctx, args.element, bindings)
-    verdict = K.member(e)
-    rep = {
-        "schema_version": rpt.SCHEMA_VERSION,
-        "kind": "member",
-        "element": e.render(),
-        "field": name,
-        "verdict": verdict,
-    }
-    if args.json:
-        print(rpt.to_json(rep))
-    else:
-        print(f"{args.element} in {name}: {verdict}")
+    _emit(args, rpt.member_report(K, e, name=name))
 
 
 def cmd_family(args, cfg):
@@ -264,39 +230,20 @@ def cmd_family(args, cfg):
     if args.n is not None:
         params["n"] = args.n
     fam = resolve_family(cfg, args.name, params)
-    if args.sub == "invariants":
-        n = args.n if args.n is not None else fam.max_stage
-        K = fam.stage(n)
-        utable = None
-        if args.horizon is not None:
-            smax = args.smax if args.smax is not None else max(1, inv_di(K))
-            utable = rpt.utable_report(fam, args.horizon, smax)
-        _emit(args, rpt.invariant_report(K, name=f"{fam.name}:{n}",
-                                         oracle=args.oracle, utable=utable))
+    if args.sub == "claims":
+        rep = rpt.claims_report(fam)
+        _emit(args, rep)
+        if not all(c["passed"] for c in rep["claims"]):
+            raise InternalInconsistency("a documented family claim failed")
         return
-    results = []
-    for claim in fam.claims():
-        ok = claim.run()
-        results.append((claim, ok))
-    if args.json:
-        rep = {
-            "schema_version": rpt.SCHEMA_VERSION,
-            "kind": "claims",
-            "family": fam.describe(),
-            "claims": [
-                {"id": c.id, "description": c.description, "op": c.op,
-                 "horizon": c.horizon, "surrogate": c.surrogate, "passed": ok}
-                for c, ok in results
-            ],
-        }
-        print(rpt.to_json(rep))
-    else:
-        for c, ok in results:
-            tag = "PASS" if ok else "FAIL"
-            surrogate = " [surrogate]" if c.surrogate else ""
-            print(f"{tag} {fam.name}.{c.id}{surrogate}: {c.description}")
-    if not all(ok for _, ok in results):
-        raise InternalInconsistency("a documented family claim failed")
+    n = args.n if args.n is not None else fam.max_stage
+    K = fam.stage(n)
+    utable = None
+    if args.horizon is not None:
+        smax = args.smax if args.smax is not None else max(1, inv_di(K))
+        utable = rpt.utable_report(fam, args.horizon, smax)
+    _emit(args, rpt.invariant_report(K, name=f"{fam.name}:{n}",
+                                     oracle=args.oracle, utable=utable))
 
 
 def cmd_utable(args, cfg):
@@ -390,7 +337,7 @@ def main(argv=None) -> int:
     try:
         if args.context:
             text = sys.stdin.read() if args.context == "-" else \
-                open(args.context, "r", encoding="utf-8").read()
+                Path(args.context).read_text(encoding="utf-8")
             cfg = load_config(text)
         args.fn(args, cfg)
     except CapExceeded as exc:

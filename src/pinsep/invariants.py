@@ -13,7 +13,7 @@ pivot rule of the linalg module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import InconsistentSystem, solve
 from .perfect import PerfElem
@@ -25,14 +25,11 @@ class RBase:
     """An r-base of K/k; ordered variants carry the exponent list.
 
     For a canonically ordered r-base the exponents are the invariants
-    o_1(K/k) >= o_2(K/k) >= ...; `defining` optionally maps (j, eps) to
-    the coefficient of the eps-monomial in the j-th defining equation
-    (1-based j, starting at j = 2).
+    o_1(K/k) >= o_2(K/k) >= ... of K/k.
     """
 
     elements: tuple
     exponents: tuple = None
-    defining: dict = None
 
     def __len__(self):
         return len(self.elements)
@@ -411,14 +408,6 @@ def parity_lengths(n: int) -> ParityLengths:
     return ParityLengths(n, len(lower), len(upper), tuple(lower), tuple(upper))
 
 
-def lpi(n: int) -> ParityLengths:
-    return parity_lengths(n)
-
-
-def lps(n: int) -> ParityLengths:
-    return parity_lengths(n)
-
-
 # ----------------------------------------------------------------------
 # Truncation formulas
 # ----------------------------------------------------------------------
@@ -434,20 +423,15 @@ def truncation_formula_check(family, s: int, n: int) -> bool:
     The left side is computed by brute force: a plain truncation for
     s = 0, and intersection with the lifted field K_s^(1/p^n) otherwise
     (the lift multiplies degrees by p^(nu*n), so s >= 1 only suits small
-    chunks).  The right side is the span the family predicts; equality is
-    checked by degree plus mutual membership.
+    chunks).  The right side is the span the family predicts.
     """
     predicted = family.predicted_truncation(s, n)
-    horizon = family.sufficient_horizon(s, n)
-    big = family.stage(horizon)
+    big = family.stage(family.max_stage)
     if s == 0:
         lhs = big.truncation(n).field
     else:
-        lifted = family.stage_for_index(s).perfect_lift(n)
-        lhs = lifted.intersect(big)
-    rhs = Subfield.span(family.ctx, predicted)
-    return (lhs.degree_log == rhs.degree_log
-            and rhs.contains_field(lhs) and lhs.contains_field(rhs))
+        lhs = family.stage(s).perfect_lift(n).intersect(big)
+    return lhs == Subfield.span(family.ctx, predicted)
 
 
 def modular_rbase_truncation_check(K: Subfield, B: RBase) -> bool:
@@ -466,9 +450,6 @@ def modular_rbase_truncation_check(K: Subfield, B: RBase) -> bool:
         predicted = []
         for a, n_a in zip(B.elements, levels):
             predicted.append(a.frob(n_a - j) if n_a > j else a)
-        span = Subfield.span(K.ctx, predicted)
-        trunc = K.truncation(j).field
-        if not (span.degree_log == trunc.degree_log
-                and trunc.contains_field(span) and span.contains_field(trunc)):
+        if Subfield.span(K.ctx, predicted) != K.truncation(j).field:
             return False
     return True

@@ -21,10 +21,6 @@ class InconsistentSystem(ArithmeticError):
     """A linear solve hit an inconsistent equation (distinct from x = 0)."""
 
 
-def vec_is_zero(v: dict) -> bool:
-    return not v
-
-
 def vec_add_scaled(v: dict, w: dict, c: RatFunc) -> dict:
     """v + c*w, dropping exact zeros."""
     if c.is_zero():
@@ -109,9 +105,6 @@ class Echelon:
 
     def basis_rows(self):
         return [row for _, row in self.rows]
-
-    def pivots(self):
-        return [pk for pk, _ in self.rows]
 
 
 def rank(vectors) -> int:
@@ -212,32 +205,3 @@ def intersect_spans(rows_a, rows_b):
             if vec:
                 found.insert(vec)
     return found.basis_rows()
-
-
-class LinSystem:
-    """A labelled matrix of RatFunc entries with the fixed pivot rule.
-
-    Thin convenience wrapper over the module functions; rows and columns
-    are identified by their input order.
-    """
-
-    def __init__(self, rows, n_cols, p, nvars):
-        self.rows = [dict(r) for r in rows]
-        self.n_cols = n_cols
-        self.p = p
-        self.nvars = nvars
-
-    def rank(self) -> int:
-        return rank(self.rows)
-
-    def nullspace(self):
-        return nullspace(self.rows, self.n_cols, self.p, self.nvars)
-
-    def solve(self, rhs):
-        cols = [dict() for _ in range(self.n_cols)]
-        for i, row in enumerate(self.rows):
-            for j, c in row.items():
-                cols[j][i] = c
-        b = {i: c for i, c in enumerate(rhs) if not c.is_zero()} \
-            if isinstance(rhs, list) else dict(rhs)
-        return solve(cols, b, self.p, self.nvars)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polynomials import MultiPoly, RatFunc
+from .polynomials import SMALL_PRIMES, MultiPoly, RatFunc
 
 
 class CapExceeded(ValueError):
@@ -37,7 +37,7 @@ class Context:
     ambient_cap: int = 6
 
     def __post_init__(self):
-        if self.p not in (2, 3, 5, 7):
+        if self.p not in SMALL_PRIMES:
             raise ValueError("p must be a prime in {2, 3, 5, 7}")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
@@ -75,25 +75,6 @@ class Context:
     def root_of_variable(self, name: str, j: int):
         """The element x^(1/p^j) for the named variable x."""
         return self.variable(name).frob(-j)
-
-
-@dataclass(frozen=True)
-class AmbientLevel:
-    """The field A_m = F_p(x^(1/p^m)) viewed inside the perfect closure.
-
-    [A_m : k] = p^(nvars * m): the monomial basis over k consists of the
-    t-monomials with exponents in [0, p^m) per variable.  The basis is
-    never materialized; this record only carries the combinatorics.
-    """
-
-    m: int
-    nvars: int
-
-    def degree_log(self) -> int:
-        return self.nvars * self.m
-
-    def contains(self, e: "PerfElem") -> bool:
-        return e.level <= self.m
 
 
 class PerfElem:
@@ -212,13 +193,3 @@ class PerfElem:
         if self.level == 0:
             return list(self.ctx.variables)
         return [f"rt({v},{self.level})" for v in self.ctx.variables]
-
-
-def normalize_level(e: PerfElem) -> PerfElem:
-    """Return the canonical minimal-level form (idempotent).
-
-    The constructor already normalizes, so this is the identity on any
-    PerfElem built through the public API; it exists as the named
-    operation and as an explicit idempotence witness for tests.
-    """
-    return PerfElem(e.ctx, e.level, e.body)

@@ -15,55 +15,6 @@ from __future__ import annotations
 SMALL_PRIMES = (2, 3, 5, 7)
 
 
-class Fp:
-    """A residue modulo a small prime p."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        if p not in SMALL_PRIMES:
-            raise ValueError(f"p must be one of {SMALL_PRIMES}, got {p}")
-        self.value = value % p
-        self.p = p
-
-    def _check(self, other: "Fp") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed characteristics")
-
-    def __add__(self, other):
-        self._check(other)
-        return Fp(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Fp(self.value - other.value, self.p)
-
-    def __neg__(self):
-        return Fp(-self.value, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return Fp(self.value * other.value, self.p)
-
-    def inverse(self) -> "Fp":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        return Fp(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        return isinstance(other, Fp) and self.p == other.p and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"Fp({self.value}, p={self.p})"
-
-
 def grlex_key(exp: tuple) -> tuple:
     """Sort key for graded lexicographic order (total degree first)."""
     return (sum(exp), exp)
@@ -129,11 +80,6 @@ class MultiPoly:
     def is_one(self):
         return self.terms == {(0,) * self.nvars: 1}
 
-    def const_value(self):
-        if not self.terms:
-            return 0
-        return self.terms[(0,) * self.nvars]
-
     def is_monomial(self):
         return len(self.terms) == 1
 
@@ -150,9 +96,6 @@ class MultiPoly:
 
     def degree_in(self, i: int) -> int:
         return max((e[i] for e in self.terms), default=-1)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
 
     def variables_used(self):
         used = set()
@@ -610,9 +553,6 @@ class RatFunc:
 
     def is_const(self):
         return self.num.is_const() and self.den.is_one()
-
-    def is_poly(self):
-        return self.den.is_one()
 
     # -- arithmetic -----------------------------------------------------
 

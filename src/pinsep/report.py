@@ -95,6 +95,56 @@ def modular_report(K: Subfield, method="both", name=None) -> dict:
     return rep
 
 
+def truncate_report(K: Subfield, n: int, name=None) -> dict:
+    trunc = K.truncation(n).field
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "truncate",
+        "field": name,
+        "n": n,
+        "degree_log": trunc.degree_log,
+        "generators": [g.render() for g in trunc.gens],
+    }
+
+
+def lattice_report(op: str, K: Subfield, L: Subfield, names) -> dict:
+    """The intersection (op "intersect") or compositum of K and L."""
+    result = K.compositum(L) if op == "compositum" else K.intersect(L)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": op,
+        "fields": list(names),
+        "degree_log": result.degree_log,
+        "generators": [g.render() for g in result.gens],
+        "linearly_disjoint": K.linearly_disjoint(L),
+    }
+
+
+def member_report(K: Subfield, e, name=None) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "member",
+        "element": e.render(),
+        "field": name,
+        "verdict": K.member(e),
+    }
+
+
+def claims_report(fam) -> dict:
+    """Run every documented claim of a family; "passed" records each."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "claims",
+        "family": fam.describe(),
+        "claims": [
+            {"id": c.id, "description": c.description, "op": c.op,
+             "horizon": c.horizon, "surrogate": c.surrogate,
+             "passed": c.run()}
+            for c in fam.claims()
+        ],
+    }
+
+
 def utable_report(fam, horizon: int, s_max: int) -> dict:
     table = inv.u_table(fam, horizon, s_max)
     return {
@@ -175,6 +225,23 @@ def to_text(rep: dict) -> str:
         lines.append(f"n = {rep['n']}: lpi = {rep['lpi']}, lps = {rep['lps']}")
         lines.append(f"  lower sequence: {rep['sequence_lower']}")
         lines.append(f"  upper sequence: {rep['sequence_upper']}")
+    elif kind == "truncate":
+        lines.append(f"k_{rep['n']} of {rep['field']}: "
+                     f"degree p^{rep['degree_log']}")
+        lines.extend(f"  {g}" for g in rep["generators"])
+    elif kind in ("intersect", "compositum"):
+        lines.append(f"{kind}({', '.join(rep['fields'])}): "
+                     f"degree p^{rep['degree_log']}; linearly disjoint "
+                     f"over k: {rep['linearly_disjoint']}")
+    elif kind == "member":
+        lines.append(f"{rep['element']} in {rep['field']}: {rep['verdict']}")
+    elif kind == "claims":
+        name = rep["family"]["name"]
+        for c in rep["claims"]:
+            tag = "PASS" if c["passed"] else "FAIL"
+            surrogate = " [surrogate]" if c["surrogate"] else ""
+            lines.append(f"{tag} {name}.{c['id']}{surrogate}: "
+                         f"{c['description']}")
     else:
         lines.append(json.dumps(rep, indent=2))
     return "\n".join(lines)

@@ -198,9 +198,6 @@ class Subfield:
     def degree(self) -> int:
         return self.ctx.p ** self.degree_log
 
-    def is_base(self) -> bool:
-        return self.degree_log == 0
-
     def basis_vectors(self, m=None):
         m = self.level if m is None else m
         if m < self.level:

@@ -63,9 +63,6 @@ class TowerFamily:
             self._stages[n] = Subfield.span(self.ctx, self.generators(n))
         return self._stages[n]
 
-    def stage_for_index(self, s: int) -> Subfield:
-        return self.stage(s)
-
     def truncation_field(self, j: int, horizon: int) -> Subfield:
         """k_j = k^(1/p^j) ∩ K, evaluated against the stage at `horizon`."""
         return self.stage(horizon).truncation(j).field
@@ -74,9 +71,6 @@ class TowerFamily:
         if self._predicted is None:
             raise ValueError(f"{self.name} has no predicted truncation formula")
         return self._predicted(self, s, n)
-
-    def sufficient_horizon(self, s: int, n: int) -> int:
-        return self.max_stage
 
     def claims(self):
         if self._claims_builder is None:
@@ -95,11 +89,6 @@ class TowerFamily:
 
     def __repr__(self):
         return f"TowerFamily({self.name}, params={self.params})"
-
-
-def _fields_equal(a: Subfield, b: Subfield) -> bool:
-    return (a.degree_log == b.degree_log and a.contains_field(b)
-            and b.contains_field(a))
 
 
 # ----------------------------------------------------------------------
@@ -236,13 +225,12 @@ def exe1(n: int = 3, p: int = 2) -> TowerFamily:
             for m in range(N + 1):
                 big = fam.stage(m)
                 for k in range(m + 1):
-                    if not _fields_equal(big.truncation(k).field, fam.stage(k)):
+                    if big.truncation(k).field != fam.stage(k):
                         return False
             return True
 
         def relative_perfection():
-            return all(_fields_equal(fam.stage(m + 1).frobenius_image(1),
-                                     fam.stage(m))
+            return all(fam.stage(m + 1).frobenius_image(1) == fam.stage(m)
                        for m in range(2, N))
 
         def power_recurrence():
@@ -322,13 +310,12 @@ def exe2(n: int = 3, p: int = 2) -> TowerFamily:
             for m in range(N + 1):
                 big = fam.stage(m)
                 for k in range(m + 1):
-                    if not _fields_equal(big.truncation(k).field, fam.stage(k)):
+                    if big.truncation(k).field != fam.stage(k):
                         return False
             return True
 
         def relative_perfection():
-            return all(_fields_equal(fam.stage(m + 1).frobenius_image(1),
-                                     fam.stage(m))
+            return all(fam.stage(m + 1).frobenius_image(1) == fam.stage(m)
                        for m in range(1, N))
 
         def rbase_size():
@@ -388,7 +375,7 @@ def exe4(n: int = 3, p: int = 2) -> TowerFamily:
 
         def truncation_identity():
             big = fam.stage(N)
-            return all(_fields_equal(big.truncation(k).field, fam.stage(k))
+            return all(big.truncation(k).field == fam.stage(k)
                        for k in range(N + 1))
 
         def rp_trend():

@@ -391,6 +391,13 @@ def test_golden_independent_of_hash_seed(name, args, seed):
     assert proc.stdout == (GOLDEN / name).read_text()
 
 
+def test_context_file_is_closed(config_path):
+    proc = run_module("-X", "dev", "-m", "pinsep.cli", "--context",
+                      config_path, "member", "rt(X,1)", "K")
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+
+
 def test_family_survey_script():
     script = Path(__file__).parent.parent / "scripts" / "run_families.py"
     proc = subprocess.run([sys.executable, str(script)],

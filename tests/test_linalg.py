@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from pinsep.linalg import (Echelon, InconsistentSystem, LinSystem,
-                           intersect_spans, nullspace, rank, solve,
-                           vec_add_scaled)
+from pinsep.linalg import (Echelon, InconsistentSystem, intersect_spans,
+                           nullspace, rank, solve, vec_add_scaled)
 from pinsep.polynomials import MultiPoly, RatFunc
 
 
@@ -138,11 +137,3 @@ def test_solve_substitute_residual_zero_randomized():
             residual = vec_add_scaled(residual, col, RatFunc.const(p, 1, -1) * xj)
         assert residual == {}
 
-
-def test_linsystem_wrapper():
-    sys_ = LinSystem([{0: c(1), 1: c(1)}], 2, 3, 1)
-    assert sys_.rank() == 1
-    ns = sys_.nullspace()
-    assert len(ns) == 1
-    xs = LinSystem([{0: c(1)}, {1: c(1)}], 2, 3, 1).solve([c(2), c(1)])
-    assert [v.render() for v in xs] == ["2", "1"]

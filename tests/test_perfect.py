@@ -5,8 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinsep.perfect import AmbientLevel, CapExceeded, Context, PerfElem, \
-    normalize_level
+from pinsep.perfect import CapExceeded, Context, PerfElem
 from pinsep.polynomials import MultiPoly, RatFunc
 
 
@@ -69,8 +68,8 @@ def test_normalize_level_idempotent_and_value_preserving(ctx):
             terms[e] = 1
         body = RatFunc.of_poly(MultiPoly(2, 3, terms))
         e = PerfElem(ctx, rng.randint(0, 3), body)
-        again = normalize_level(e)
-        assert again == e
+        # re-normalizing an already canonical element changes nothing
+        assert PerfElem(e.ctx, e.level, e.body) == e
         # value preserved: raise to p^level lands at level 0 consistently
         assert e.frob(e.level).level == 0
 
@@ -101,14 +100,6 @@ def test_cap_errors():
     X.frob(-2)
     with pytest.raises(CapExceeded):
         X.frob(-3)
-
-
-def test_ambient_level_degree():
-    amb = AmbientLevel(3, 2)
-    assert amb.degree_log() == 6
-    ctx = Context(2, ("X", "Y"))
-    assert amb.contains(ctx.variable("X").frob(-3))
-    assert not AmbientLevel(1, 2).contains(ctx.variable("X").frob(-2))
 
 
 @st.composite

@@ -1,13 +1,12 @@
-"""Exact arithmetic: F_p scalars, sparse polynomials, rational functions."""
+"""Exact arithmetic: sparse polynomials and rational functions over F_p."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinsep.polynomials import (Fp, MultiPoly, RatFunc,
-                                VariableCountMismatch, mp_divmod,
-                                mp_exact_div, mp_gcd)
+from pinsep.polynomials import (MultiPoly, RatFunc, VariableCountMismatch,
+                                mp_divmod, mp_exact_div, mp_gcd)
 
 
 def poly(p, nvars, terms):
@@ -16,42 +15,6 @@ def poly(p, nvars, terms):
 
 def var(p, nvars, i):
     return MultiPoly.variable(p, nvars, i)
-
-
-# ----------------------------------------------------------------------
-# Fp
-# ----------------------------------------------------------------------
-
-
-def test_fp_normalizes_residues():
-    assert Fp(7, 5).value == 2
-    assert Fp(-1, 3).value == 2
-
-
-def test_fp_inverse_and_division():
-    for p in (2, 3, 5, 7):
-        for v in range(1, p):
-            a = Fp(v, p)
-            assert (a * a.inverse()).value == 1
-            assert (a / a).value == 1
-    with pytest.raises(ZeroDivisionError):
-        Fp(0, 3).inverse()
-
-
-def test_fp_rejects_large_primes():
-    with pytest.raises(ValueError):
-        Fp(1, 11)
-
-
-@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
-       st.sampled_from([2, 3, 5, 7]))
-def test_fp_field_laws(a, b, c, p):
-    x, y, z = Fp(a, p), Fp(b, p), Fp(c, p)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert (x + y) + z == x + (y + z)
-    assert x * (y + z) == x * y + x * z
-    assert x + (-x) == Fp(0, p)
 
 
 # ----------------------------------------------------------------------
