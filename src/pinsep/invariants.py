@@ -339,6 +339,9 @@ class UTable:
 
 def u_table(family, horizon: int, s_max: int) -> UTable:
     """Tabulate U_s^j on the truncation fields of a tower family."""
+    if horizon < 1 or s_max < 1:
+        raise ValueError(f"u_table needs horizon >= 1 and s_max >= 1, "
+                         f"got horizon={horizon}, s_max={s_max}")
     exps = {}
     for j in range(1, horizon + 1):
         k_j = family.truncation_field(j, horizon)

@@ -51,8 +51,7 @@ class Echelon:
     """
 
     def __init__(self, pivot_ok=None):
-        self.rows = []            # sorted list of (pivot_key, row_dict)
-        self._pivots = {}         # pivot_key -> index into rows
+        self.rows = {}            # pivot_key -> row_dict, pivot entry 1
         self.pivot_ok = pivot_ok
         self.defective = []       # reduced rows with no pivotable support
 
@@ -60,19 +59,15 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, v: dict) -> dict:
-        """Remainder of v after eliminating every pivot column present."""
-        v = dict(v)
-        hits = [k for k in v if k in self._pivots]
-        while hits:
-            hits.sort()
-            for k in hits:
-                c = v.get(k)
-                if c is None:
-                    continue
-                _, row = self.rows[self._pivots[k]]
-                v = vec_add_scaled(v, row, -c)
-            hits = [k for k in v if k in self._pivots]
-        return v
+        """Remainder of v after eliminating every pivot column present.
+
+        Every row is zero at the other rows' pivots, so one pass over the
+        pivots present in v clears them all.
+        """
+        rows = self.rows
+        for k in [k for k in v if k in rows]:
+            v = vec_add_scaled(v, rows[k], -v[k])
+        return dict(v)
 
     def insert(self, v: dict) -> bool:
         """Reduce v and add it to the basis; True iff the span grew."""
@@ -87,24 +82,23 @@ class Echelon:
         inv = r[piv].inverse()
         r = vec_scale(r, inv)
         # keep the basis fully reduced: clear the new pivot everywhere
-        for i, (pk, row) in enumerate(self.rows):
+        for pk, row in self.rows.items():
             c = row.get(piv)
             if c is not None:
-                self.rows[i] = (pk, vec_add_scaled(row, r, -c))
+                self.rows[pk] = vec_add_scaled(row, r, -c)
         for i, row in enumerate(self.defective):
             c = row.get(piv)
             if c is not None:
                 self.defective[i] = vec_add_scaled(row, r, -c)
-        self.rows.append((piv, r))
-        self.rows.sort(key=lambda t: t[0])
-        self._pivots = {pk: i for i, (pk, _) in enumerate(self.rows)}
+        self.rows[piv] = r
         return True
 
     def member(self, v: dict) -> bool:
         return not self.reduce(v)
 
     def basis_rows(self):
-        return [row for _, row in self.rows]
+        """The rows in increasing pivot order."""
+        return [self.rows[k] for k in sorted(self.rows)]
 
 
 def rank(vectors) -> int:
@@ -175,7 +169,7 @@ def solve(columns, rhs, p, nvars):
         raise ArithmeticError("solution is not unique")
     zero = RatFunc.zero(p, nvars)
     xs = [zero] * len(columns)
-    for piv, row in ech.rows:
+    for piv, row in ech.rows.items():
         val = row.get("rhs", zero)
         xs[piv] = -val
     return xs

@@ -232,7 +232,7 @@ def to_text(rep: dict) -> str:
     elif kind in ("intersect", "compositum"):
         lines.append(f"{kind}({', '.join(rep['fields'])}): "
                      f"degree p^{rep['degree_log']}; linearly disjoint "
-                     f"over k: {rep['linearly_disjoint']}")
+                     f"over K ∩ L: {rep['linearly_disjoint']}")
     elif kind == "member":
         lines.append(f"{rep['element']} in {rep['field']}: {rep['verdict']}")
     elif kind == "claims":

@@ -9,9 +9,11 @@ appear in a field's basis are touched.  The working level of a field is
 the maximum level of its generators, which for canonical generators is
 exactly o_1(K/k).
 
-Construction closes the span under multiplication by the generators, so
-every Subfield is an honest field.  Bases are computed once and cached
-immutably; all query operations are read-only and parallel-safe.
+Construction follows the tower law: adjoining e to K multiplies the degree
+by p^o(e/K), and the products of K's basis with 1, e, ..., e^(p^o - 1)
+are a k-basis of K(e), so every Subfield is an honest field.  Bases are
+computed once and cached immutably; all query operations are read-only
+and parallel-safe.
 """
 
 from __future__ import annotations
@@ -105,12 +107,6 @@ def vec_mul(ctx: Context, m: int, a: dict, b: dict) -> dict:
     return out
 
 
-def _lift_vec(vec: dict, factor: int) -> dict:
-    if factor == 1:
-        return vec
-    return {tuple(x * factor for x in e): c for e, c in vec.items()}
-
-
 def _log_p(n: int, p: int) -> int:
     log = 0
     while n > 1:
@@ -160,26 +156,29 @@ class Subfield:
         return cls(field.ctx, field.level, gens, field._echelon, _private=_TOKEN)
 
     def adjoin(self, e: PerfElem) -> "Subfield":
-        """K(e): close the K-span under multiplication by e."""
-        if e.ctx != self.ctx:
-            raise ValueError("element from a different context")
-        if e.is_zero() or self.member(e):
+        """K(e) by the tower law [K(e) : K] = p^r with r = o(e/K).
+
+        1, e, ..., e^(p^r - 1) is a K-basis of K(e), so the products b*e^l
+        of the K-basis b with 0 <= l < p^r form a k-basis: each one must
+        grow the span.
+        """
+        r = self.rel_exponent(e)
+        if r == 0:
             return self
         ctx = self.ctx
         m = max(self.level, e.level)
         ctx.check_level(m)
-        factor = ctx.p ** (m - self.level)
-        ech = Echelon()
-        rows = [_lift_vec(r, factor) for r in self._echelon.basis_rows()]
-        for r in rows:
-            ech.insert(r)
         gvec = to_vector(e, m)
-        queue = list(rows)
-        while queue:
-            v = queue.pop(0)
-            prod = vec_mul(ctx, m, v, gvec)
-            if ech.insert(prod):
-                queue.append(prod)
+        ech = Echelon()
+        layer = self.basis_vectors(m)
+        for l in range(ctx.p ** r):
+            if l:
+                layer = [vec_mul(ctx, m, v, gvec) for v in layer]
+            for v in layer:
+                if not ech.insert(v):
+                    raise InternalInconsistency(
+                        f"adjoin: product by e^{l} fell in the span, "
+                        f"against [K(e) : K] = {ctx.p}^{r}")
         return Subfield(ctx, m, self.gens + (e,), ech, _private=_TOKEN)
 
     @classmethod
@@ -202,8 +201,12 @@ class Subfield:
         m = self.level if m is None else m
         if m < self.level:
             raise ValueError("cannot present the basis below the working level")
+        rows = self._echelon.basis_rows()
         factor = self.ctx.p ** (m - self.level)
-        return [_lift_vec(r, factor) for r in self._echelon.basis_rows()]
+        if factor == 1:
+            return rows
+        return [{tuple(x * factor for x in e): c for e, c in r.items()}
+                for r in rows]
 
     def basis_elements(self):
         return [from_vector(self.ctx, v, self.level)

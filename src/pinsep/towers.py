@@ -13,6 +13,7 @@ documents and enforces its own cap.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from . import invariants as inv
@@ -182,6 +183,26 @@ def nonmodular_basic(p: int = 2) -> TowerFamily:
                              "equation has coefficients outside K^p")
 
 
+def _stage_predicted(fam, s, k):
+    """Generators of k^(1/p^k) ∩ K for a family whose truncations are its
+    own stages: those of K_k."""
+    if s != 0:
+        raise ValueError("predicted truncations only at base level (s = 0)")
+    return fam.generators(k)
+
+
+def _truncation_identity(fam):
+    """k^(1/p^j) ∩ K_m = K_j for every j <= m <= max_stage."""
+    return all(fam.stage(m).truncation(j).field == fam.stage(j)
+               for m in range(fam.max_stage + 1) for j in range(m + 1))
+
+
+def _relative_perfection(fam, start):
+    """k(K_{m+1}^p) = K_m for start <= m < max_stage."""
+    return all(fam.stage(m + 1).frobenius_image(1) == fam.stage(m)
+               for m in range(start, fam.max_stage))
+
+
 # ----------------------------------------------------------------------
 # exe1(n): X^(1/p^n) and a_j = Z_j^(1/p^(n-j)) X^(1/p^n) + Y_j^(1/p^(n-j))
 # ----------------------------------------------------------------------
@@ -207,31 +228,11 @@ def exe1(n: int = 3, p: int = 2) -> TowerFamily:
             return [ctx.root_of_variable("X", 1)]
         return [ctx.root_of_variable("X", m)] + [gen(m, j) for j in range(1, m)]
 
-    def predicted(fam, s, k):
-        if s != 0:
-            raise ValueError("predicted truncations only at base level (s = 0)")
-        if k > fam.max_stage:
-            raise HorizonInsufficient(
-                f"exe1 needs stage {k}; configured max is {fam.max_stage}")
-        return fam.generators(k)
-
     def claims_builder(fam):
         N = fam.max_stage
 
         def di_growth():
             return all(inv.di(fam.stage(m)) == m for m in range(N + 1))
-
-        def truncation_identity():
-            for m in range(N + 1):
-                big = fam.stage(m)
-                for k in range(m + 1):
-                    if big.truncation(k).field != fam.stage(k):
-                        return False
-            return True
-
-        def relative_perfection():
-            return all(fam.stage(m + 1).frobenius_image(1) == fam.stage(m)
-                       for m in range(2, N))
 
         def power_recurrence():
             for m in range(2, N):
@@ -252,10 +253,10 @@ def exe1(n: int = 3, p: int = 2) -> TowerFamily:
             Claim("truncation_identity",
                   "k^(1/p^j) ∩ K_m = K_j for j <= m (lq-finiteness witness)",
                   "subfields.truncation", f"j <= m <= {N}", False,
-                  truncation_identity),
+                  lambda: _truncation_identity(fam)),
             Claim("relative_perfection", "k(K_{m+1}^p) = K_m",
                   "subfields.frobenius_image", f"2 <= m < {N}", False,
-                  relative_perfection),
+                  lambda: _relative_perfection(fam, 2)),
             Claim("power_recurrence",
                   "(a_j at stage m+1)^p = (a_j at stage m), elementwise",
                   "perfect.frob", f"m < {N}", False, power_recurrence),
@@ -265,7 +266,8 @@ def exe1(n: int = 3, p: int = 2) -> TowerFamily:
         ]
 
     return TowerFamily("exe1", ctx, schedule, n, params={"n": n, "p": p},
-                       predicted=predicted, claims_builder=claims_builder,
+                       predicted=_stage_predicted,
+                       claims_builder=claims_builder,
                        notes="lq-finite tower whose degree of irrationality "
                              "grows with the stage; stage 1 is the finite "
                              "stand-in k(X^(1/p)) for the limit stage")
@@ -295,28 +297,8 @@ def exe2(n: int = 3, p: int = 2) -> TowerFamily:
     def schedule(m):
         return [theta(m, i) for i in range(1, m + 1)] if m else []
 
-    def predicted(fam, s, k):
-        if s != 0:
-            raise ValueError("predicted truncations only at base level (s = 0)")
-        if k > fam.max_stage:
-            raise HorizonInsufficient(
-                f"exe2 needs stage {k}; configured max is {fam.max_stage}")
-        return fam.generators(k)
-
     def claims_builder(fam):
         N = fam.max_stage
-
-        def truncation_identity():
-            for m in range(N + 1):
-                big = fam.stage(m)
-                for k in range(m + 1):
-                    if big.truncation(k).field != fam.stage(k):
-                        return False
-            return True
-
-        def relative_perfection():
-            return all(fam.stage(m + 1).frobenius_image(1) == fam.stage(m)
-                       for m in range(1, N))
 
         def rbase_size():
             return all(len(inv.rbase_extract(fam.stage(m))) == m
@@ -325,17 +307,18 @@ def exe2(n: int = 3, p: int = 2) -> TowerFamily:
         return [
             Claim("truncation_identity",
                   "k^(1/p^j) ∩ K_m = K_j for j <= m", "subfields.truncation",
-                  f"j <= m <= {N}", False, truncation_identity),
+                  f"j <= m <= {N}", False, lambda: _truncation_identity(fam)),
             Claim("relative_perfection", "k(K_{m+1}^p) = K_m",
                   "subfields.frobenius_image", f"1 <= m < {N}", False,
-                  relative_perfection),
+                  lambda: _relative_perfection(fam, 1)),
             Claim("rbase_size", "the m-th stage has an r-base of size m "
                   "(surrogate: di grows without bound)",
                   "invariants.rbase_extract", f"m <= {N}", True, rbase_size),
         ]
 
     return TowerFamily("exe2", ctx, schedule, n, params={"n": n, "p": p},
-                       predicted=predicted, claims_builder=claims_builder,
+                       predicted=_stage_predicted,
+                       claims_builder=claims_builder,
                        notes="lq-finite tower witnessing that lq-finiteness "
                              "is not transitive in the limit")
 
@@ -361,14 +344,6 @@ def exe4(n: int = 3, p: int = 2) -> TowerFamily:
         if m == 0:
             return []
         return [ctx.root_of_variable("X", m)] + [theta(i) for i in range(1, m)]
-
-    def predicted(fam, s, k):
-        if s != 0:
-            raise ValueError("predicted truncations only at base level (s = 0)")
-        if k > fam.max_stage:
-            raise HorizonInsufficient(
-                f"exe4 needs stage {k}; configured max is {fam.max_stage}")
-        return fam.generators(k)
 
     def claims_builder(fam):
         N = fam.max_stage
@@ -398,7 +373,8 @@ def exe4(n: int = 3, p: int = 2) -> TowerFamily:
         ]
 
     return TowerFamily("exe4", ctx, schedule, n, params={"n": n, "p": p},
-                       predicted=predicted, claims_builder=claims_builder,
+                       predicted=_stage_predicted,
+                       claims_builder=claims_builder,
                        notes="lq-finite but not absolutely lq-finite; the "
                              "theta_i form an unbounded r-base over k(K^p)")
 
@@ -508,4 +484,9 @@ def family(name: str, **params) -> TowerFamily:
     """Instantiate a built-in family by name."""
     if name not in FAMILIES:
         raise KeyError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
-    return FAMILIES[name](**params)
+    builder = FAMILIES[name]
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"family {name!r}: {exc}") from None
+    return builder(**params)

@@ -149,7 +149,7 @@ k_1 of K: degree p^1
 }
 """, id="truncate"),
     pytest.param(["intersect", "K", "L"], """\
-intersect(K, L): degree p^1; linearly disjoint over k: True
+intersect(K, L): degree p^1; linearly disjoint over K ∩ L: True
 """, """\
 {
   "schema_version": 1,
@@ -167,7 +167,7 @@ intersect(K, L): degree p^1; linearly disjoint over k: True
 }
 """, id="intersect"),
     pytest.param(["compositum", "K", "L"], """\
-compositum(K, L): degree p^4; linearly disjoint over k: True
+compositum(K, L): degree p^4; linearly disjoint over K ∩ L: True
 """, """\
 {
   "schema_version": 1,
@@ -355,6 +355,19 @@ def test_exit_codes(config_path, tmp_path):
     rc, _, err = run_cli("--context", str(tmp_path / "missing.yaml"),
                          "parity", "3")
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["family", "nonmodular_basic", "invariants", "--n", "1"],
+     "family 'nonmodular_basic'"),
+    (["utable", "exe1", "--horizon", "2", "--smax", "1", "--params", "q=1"],
+     "family 'exe1'"),
+    (["utable", "exe1", "--horizon", "0", "--smax", "1"], "horizon=0"),
+], ids=["unknown_n", "unknown_param", "zero_horizon"])
+def test_bad_family_parameters_are_parse_errors(argv, needle):
+    rc, _, err = run_cli(*argv)
+    assert rc == 2
+    assert err.startswith("error[parse]:") and needle in err
 
 
 def test_exe3_reference_is_explicit_error():

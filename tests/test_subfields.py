@@ -7,9 +7,10 @@ import pytest
 
 from pinsep.linalg import rank
 from pinsep.perfect import Context
-from pinsep.subfields import Subfield, to_vector, vec_mul
+from pinsep.subfields import (InternalInconsistency, Subfield, to_vector,
+                              vec_mul)
 
-from conftest import fields_equal, random_field
+from conftest import fields_equal, random_element, random_field
 
 
 @pytest.fixture
@@ -251,6 +252,41 @@ def test_rel_exponent_examples(ctx):
     assert Subfield.span(ctx, ()).rel_exponent(ctx.root_of_variable("X", 3)) == 3
     L = Subfield.span(ctx, roots(ctx, [("X", 1)]))
     assert L.rel_exponent(ctx.root_of_variable("X", 2)) == 1
+
+
+def test_adjoin_follows_tower_law(small_corpus):
+    """[K(e) : K] = p^o(e/K), against the rank of all products b*e^l."""
+    rng = random.Random(7)
+    checked = 0
+    for K in small_corpus:
+        if K.degree_log > 3:
+            continue
+        for _ in range(3):
+            e = random_element(K.ctx, rng, max_level=2, max_terms=2)
+            KE = K.adjoin(e)
+            assert KE.degree_log == K.degree_log + K.rel_exponent(e)
+            assert all(KE.member(g) for g in K.gens) and KE.member(e)
+            m = max(K.level, e.level)
+            gvec = to_vector(e, m)
+            prods = []
+            for b in K.basis_vectors(m):
+                for _l in range(K.ctx.p ** e.level):
+                    prods.append(b)
+                    b = vec_mul(K.ctx, m, b, gvec)
+            assert KE.degree == rank(prods)
+            checked += 1
+    assert checked >= 20
+
+
+def test_adjoin_checks_tower_law(ctx, monkeypatch):
+    """An overstated o(e/K) makes a product fall in the span: adjoin raises."""
+    K = Subfield.span(ctx, roots(ctx, [("X", 1)]))
+    e = ctx.root_of_variable("Y", 1)
+    real = Subfield.rel_exponent
+    monkeypatch.setattr(Subfield, "rel_exponent",
+                        lambda self, a: real(self, a) + 1)
+    with pytest.raises(InternalInconsistency):
+        K.adjoin(e)
 
 
 def test_degree_over_lifted_base(ctx):
