@@ -52,9 +52,10 @@ def rbase_extract(K: Subfield) -> RBase:
     expected = K.degree_log - current.degree_log
     kept = []
     for g in K.gens:
-        if not current.member(g):
+        r = current.rel_exponent(g)
+        if r:
             kept.append(g)
-            current = current.adjoin(g)
+            current = current._adjoin_by(g, r)
     if len(kept) != expected:
         raise InternalInconsistency(
             f"r-base extraction found {len(kept)} elements, expected {expected}")
@@ -77,9 +78,10 @@ def rbase_complete(K: Subfield, B, G) -> RBase:
         raise ValueError("B is not r-free over k(K^p) (degree test failed)")
     added = []
     for g in G:
-        if not current.member(g):
+        r = current.rel_exponent(g)
+        if r:
             added.append(g)
-            current = current.adjoin(g)
+            current = current._adjoin_by(g, r)
     if current.degree_log != K.degree_log:
         raise ValueError("G does not generate K over k(K^p)")
     return RBase(B + tuple(added))
@@ -117,7 +119,7 @@ def canonical_rbase(K: Subfield, base: Subfield = None) -> RBase:
             break
         elements.append(best_g)
         exponents.append(best_e)
-        current = current.adjoin(best_g)
+        current = current._adjoin_by(best_g, best_e)
     if current.degree_log != target_log:
         raise InternalInconsistency("greedy completion did not exhaust K")
     if any(exponents[i] < exponents[i + 1] for i in range(len(exponents) - 1)):

@@ -12,6 +12,8 @@ is structural.
 
 from __future__ import annotations
 
+from operator import sub
+
 SMALL_PRIMES = (2, 3, 5, 7)
 
 
@@ -47,6 +49,13 @@ class MultiPoly:
 
     # -- constructors ------------------------------------------------
 
+    @staticmethod
+    def _raw(p, nvars, terms):
+        """Wrap a term map that is already clean (no zero residues)."""
+        out = MultiPoly.__new__(MultiPoly)
+        out.p, out.nvars, out.terms, out._hash = p, nvars, terms, None
+        return out
+
     @classmethod
     def zero(cls, p, nvars):
         return cls(p, nvars)
@@ -78,7 +87,7 @@ class MultiPoly:
         return not self.terms or (len(self.terms) == 1 and sum(next(iter(self.terms))) == 0)
 
     def is_one(self):
-        return self.terms == {(0,) * self.nvars: 1}
+        return len(self.terms) == 1 and self.terms.get((0,) * self.nvars) == 1
 
     def is_monomial(self):
         return len(self.terms) == 1
@@ -124,16 +133,12 @@ class MultiPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        out = MultiPoly.__new__(MultiPoly)
-        out.p, out.nvars, out.terms, out._hash = p, self.nvars, terms, None
-        return out
+        return MultiPoly._raw(p, self.nvars, terms)
 
     def __neg__(self):
         p = self.p
         terms = {e: p - c for e, c in self.terms.items()}
-        out = MultiPoly.__new__(MultiPoly)
-        out.p, out.nvars, out.terms, out._hash = p, self.nvars, terms, None
-        return out
+        return MultiPoly._raw(p, self.nvars, terms)
 
     def __sub__(self, other):
         return self + (-other)
@@ -156,9 +161,7 @@ class MultiPoly:
                     acc[g] = s
                 else:
                     acc.pop(g, None)
-        out = MultiPoly.__new__(MultiPoly)
-        out.p, out.nvars, out.terms, out._hash = p, self.nvars, acc, None
-        return out
+        return MultiPoly._raw(p, self.nvars, acc)
 
     def scale(self, c: int):
         """Multiply by the scalar c mod p."""
@@ -168,9 +171,7 @@ class MultiPoly:
         if c == 1:
             return self
         terms = {e: (v * c) % self.p for e, v in self.terms.items()}
-        out = MultiPoly.__new__(MultiPoly)
-        out.p, out.nvars, out.terms, out._hash = self.p, self.nvars, terms, None
-        return out
+        return MultiPoly._raw(self.p, self.nvars, terms)
 
     def mul_monomial(self, exp: tuple, c: int = 1):
         c %= self.p
@@ -179,9 +180,7 @@ class MultiPoly:
         terms = {}
         for e, v in self.terms.items():
             terms[tuple(x + y for x, y in zip(e, exp))] = (v * c) % self.p
-        out = MultiPoly.__new__(MultiPoly)
-        out.p, out.nvars, out.terms, out._hash = self.p, self.nvars, terms, None
-        return out
+        return MultiPoly._raw(self.p, self.nvars, terms)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -212,9 +211,7 @@ class MultiPoly:
         if k == 1:
             return self
         terms = {tuple(x * k for x in e): c for e, c in self.terms.items()}
-        out = MultiPoly.__new__(MultiPoly)
-        out.p, out.nvars, out.terms, out._hash = self.p, self.nvars, terms, None
-        return out
+        return MultiPoly._raw(self.p, self.nvars, terms)
 
     def exponents_divisible(self, k: int) -> bool:
         return all(x % k == 0 for e in self.terms for x in e)
@@ -223,9 +220,7 @@ class MultiPoly:
         terms = {tuple(x // k for x in e): c for e, c in self.terms.items()}
         if any(x % k for e in self.terms for x in e):
             raise ValueError("exponents not divisible")
-        out = MultiPoly.__new__(MultiPoly)
-        out.p, out.nvars, out.terms, out._hash = self.p, self.nvars, terms, None
-        return out
+        return MultiPoly._raw(self.p, self.nvars, terms)
 
     def deriv(self, i: int):
         """Partial derivative with respect to variable i."""
@@ -284,8 +279,12 @@ class VariableCountMismatch(ValueError):
 # ----------------------------------------------------------------------
 # Division and gcd.
 #
-# Exact division uses the ordinary one-divisor division algorithm in
-# graded-lex order.  The multivariate gcd is the classical recursive
+# Exact division and gcd by a single term c*x^a, the shape almost every
+# call has during elimination, are answered directly: division shifts
+# the exponents down by a and scales by 1/c (ArithmeticError if one would
+# go negative), and gcd(h, c*x^a) = x^min(a, monomial content of h).
+# Otherwise exact division uses the ordinary one-divisor division
+# algorithm in graded-lex order, and the gcd is the classical recursive
 # scheme: strip monomial content, pick the highest active variable as the
 # main one, split into content and primitive part, and run a subresultant
 # pseudo-remainder sequence on the primitive parts.  All choices are
@@ -319,6 +318,18 @@ def mp_divmod(f: MultiPoly, g: MultiPoly):
 
 
 def mp_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    if len(g.terms) == 1:
+        f._check(g)
+        p = f.p
+        (a, c), = g.terms.items()
+        inv = pow(c, p - 2, p)
+        terms = {}
+        for e, v in f.terms.items():
+            q = tuple(map(sub, e, a))
+            if min(q, default=0) < 0:
+                raise ArithmeticError("division was expected to be exact")
+            terms[q] = v * inv % p
+        return MultiPoly._raw(p, f.nvars, terms)
     q, r = mp_divmod(f, g)
     if not r.is_zero():
         raise ArithmeticError("division was expected to be exact")
@@ -333,8 +344,8 @@ def _monomial_content(f: MultiPoly) -> tuple:
 
 
 def _shift_down(f: MultiPoly, mono: tuple) -> MultiPoly:
-    terms = {tuple(a - b for a, b in zip(e, mono)): c for e, c in f.terms.items()}
-    return MultiPoly(f.p, f.nvars, terms)
+    terms = {tuple(map(sub, e, mono)): c for e, c in f.terms.items()}
+    return MultiPoly._raw(f.p, f.nvars, terms)
 
 
 def _to_univariate(f: MultiPoly, i: int):
@@ -434,14 +445,21 @@ def _make_monic(f: MultiPoly) -> MultiPoly:
 
 
 def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic gcd via subresultant PRS on the recursive dense form."""
+    """Monic gcd: direct for a single-term argument, else subresultant PRS
+    on the recursive dense form."""
     if f.p != g.p or f.nvars != g.nvars:
         raise ValueError("gcd of incompatible polynomials")
-    p, nv = f.p, f.nvars
     if f.is_zero():
         return _make_monic(g)
     if g.is_zero():
         return _make_monic(f)
+    if len(f.terms) == 1:
+        f, g = g, f
+    if len(g.terms) == 1:
+        common, = g.terms
+        for e in f.terms:
+            common = tuple(map(min, common, e))
+        return MultiPoly._raw(f.p, f.nvars, {common: 1})
     mono_f = _monomial_content(f)
     mono_g = _monomial_content(g)
     common = tuple(min(a, b) for a, b in zip(mono_f, mono_g))

@@ -156,13 +156,16 @@ class Subfield:
         return cls(field.ctx, field.level, gens, field._echelon, _private=_TOKEN)
 
     def adjoin(self, e: PerfElem) -> "Subfield":
-        """K(e) by the tower law [K(e) : K] = p^r with r = o(e/K).
+        """K(e) by the tower law [K(e) : K] = p^r with r = o(e/K)."""
+        return self._adjoin_by(e, self.rel_exponent(e))
+
+    def _adjoin_by(self, e: PerfElem, r: int) -> "Subfield":
+        """K(e) for a caller that already knows r = o(e/K).
 
         1, e, ..., e^(p^r - 1) is a K-basis of K(e), so the products b*e^l
         of the K-basis b with 0 <= l < p^r form a k-basis: each one must
-        grow the span.
+        grow the span, which also checks the r given.
         """
-        r = self.rel_exponent(e)
         if r == 0:
             return self
         ctx = self.ctx

@@ -1,5 +1,6 @@
 """CLI: context loading, commands, JSON output, determinism, exit codes."""
 
+import importlib.util
 import io
 import json
 import os
@@ -441,3 +442,18 @@ def test_golden_reports(name, args):
     assert rc == 0, err
     expected = (GOLDEN / name).read_text()
     assert out == expected
+
+
+def test_make_goldens_check_matches():
+    """`scripts/make_goldens.py --check` renders every golden report in
+    memory and finds no difference from the checked-in files."""
+    script = Path(__file__).parent.parent / "scripts" / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", script)
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    before = {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert make_goldens.run(check=True) == 0
+    assert out.getvalue() == ""
+    assert {p.name: p.read_bytes() for p in GOLDEN.iterdir()} == before

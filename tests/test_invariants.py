@@ -141,6 +141,22 @@ def test_canonical_rbase_tensor(ctx):
     assert inv.canonical_rbase(K).exponents == (1, 1)
 
 
+def test_canonical_rbase_scans_each_generator_once_per_round(ctx,
+                                                            monkeypatch):
+    """o(g/current) is computed |gens| times per greedy round, di + 1
+    rounds in all; adjoining the chosen generator reuses its exponent."""
+    xy = ctx.root_of_variable("X", 1) * ctx.root_of_variable("Y", 1)
+    K = Subfield.span(ctx, roots(ctx, [("X", 2), ("Y", 1)]) + [xy])
+    d = inv.di(K)
+    calls = []
+    real = Subfield.rel_exponent
+    monkeypatch.setattr(Subfield, "rel_exponent",
+                        lambda self, a: calls.append(a) or real(self, a))
+    B = inv.canonical_rbase(K)
+    assert (d, B.exponents) == (2, (2, 1))
+    assert len(calls) == len(K.gens) * (d + 1)
+
+
 def test_exponent_list_invariance(ctx, small_corpus):
     rng = random.Random(15)
     for K in small_corpus[:12]:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinsep.polynomials import (MultiPoly, RatFunc, VariableCountMismatch,
-                                mp_divmod, mp_exact_div, mp_gcd)
+                                _gcd_core, _make_monic, _monomial_content,
+                                _shift_down, mp_divmod, mp_exact_div, mp_gcd)
 
 
 def poly(p, nvars, terms):
@@ -160,6 +161,65 @@ def test_gcd_of_coprime_is_one():
     x, y = var(5, 2, 0), var(5, 2, 1)
     one = MultiPoly.one(5, 2)
     assert mp_gcd(x + one, y + one).is_one()
+
+
+@st.composite
+def single_terms(draw, p, nvars, max_deg=3):
+    """A nonzero one-term polynomial c*x^a."""
+    a = tuple(draw(st.integers(0, max_deg)) for _ in range(nvars))
+    return MultiPoly.monomial(p, nvars, a, draw(st.integers(1, p - 1)))
+
+
+@st.composite
+def kernel_args(draw):
+    """(f, c*x^a) over F_p, p in {2, 3, 5}, with 1 to 3 variables."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.integers(1, 3))
+    return draw(polys(p=p, nvars=nvars)), draw(single_terms(p, nvars))
+
+
+def general_gcd(f, g):
+    """The subresultant route of mp_gcd, which the monomial case skips."""
+    mf, mg = _monomial_content(f), _monomial_content(g)
+    common = tuple(min(a, b) for a, b in zip(mf, mg))
+    core = _gcd_core(_shift_down(f, mf), _shift_down(g, mg))
+    return _make_monic(core.mul_monomial(common))
+
+
+@given(kernel_args())
+@settings(max_examples=150, deadline=None)
+def test_gcd_with_single_term_matches_general_route(args):
+    f, m = args
+    if f.is_zero():
+        return
+    d = mp_gcd(f, m)
+    assert d == mp_gcd(m, f) == general_gcd(f, m) == general_gcd(m, f)
+    assert mp_divmod(f, d)[1].is_zero()
+    assert mp_divmod(m, d)[1].is_zero()
+
+
+@given(kernel_args())
+@settings(max_examples=150, deadline=None)
+def test_exact_div_by_single_term_matches_divmod(args):
+    f, m = args
+    q = mp_exact_div(f * m, m)
+    assert q == f
+    assert q == mp_divmod(f * m, m)[0]
+
+
+@given(kernel_args(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_div_by_non_dividing_single_term_raises(args, data):
+    f, m = args
+    if f.is_zero():
+        return
+    # raise one exponent of m above the monomial content of f
+    i = data.draw(st.integers(0, f.nvars - 1))
+    (a, c), = m.terms.items()
+    a = list(a)
+    a[i] = _monomial_content(f)[i] + data.draw(st.integers(1, 2))
+    with pytest.raises(ArithmeticError):
+        mp_exact_div(f, MultiPoly.monomial(f.p, f.nvars, a, c))
 
 
 # ----------------------------------------------------------------------
