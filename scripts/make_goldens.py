@@ -4,15 +4,8 @@
 Run after an intentional schema or output change, then review the diff:
 
     python scripts/make_goldens.py
-
-With --check nothing is written: every report is rendered in memory and
-compared byte for byte with tests/golden/; the names of the differing
-files are printed and the exit code is 1 if any differ.
-
-    python scripts/make_goldens.py --check
 """
 
-import argparse
 import io
 import sys
 from contextlib import redirect_stdout
@@ -39,8 +32,8 @@ REPORTS = {
 }
 
 
-def run(check=False):
-    differ = []
+def run():
+    GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, args in REPORTS.items():
         buf = io.StringIO()
         with redirect_stdout(buf):
@@ -48,21 +41,10 @@ def run(check=False):
         if rc != 0:
             print(f"FAILED ({rc}): {name}", file=sys.stderr)
             return rc
-        data = buf.getvalue().encode()
-        path = GOLDEN / name
-        if check:
-            if not path.exists() or path.read_bytes() != data:
-                differ.append(name)
-                print(name)
-        else:
-            GOLDEN.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data)
-            print(f"wrote {name}")
-    return 1 if differ else 0
+        (GOLDEN / name).write_text(buf.getvalue())
+        print(f"wrote {name}")
+    return 0
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare with tests/golden/ instead of writing")
-    sys.exit(run(check=parser.parse_args().check))
+    sys.exit(run())

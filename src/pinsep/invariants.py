@@ -52,10 +52,10 @@ def rbase_extract(K: Subfield) -> RBase:
     expected = K.degree_log - current.degree_log
     kept = []
     for g in K.gens:
-        r = current.rel_exponent(g)
-        if r:
+        nxt = current.adjoin(g)
+        if nxt is not current:
             kept.append(g)
-            current = current._adjoin_by(g, r)
+            current = nxt
     if len(kept) != expected:
         raise InternalInconsistency(
             f"r-base extraction found {len(kept)} elements, expected {expected}")
@@ -78,10 +78,10 @@ def rbase_complete(K: Subfield, B, G) -> RBase:
         raise ValueError("B is not r-free over k(K^p) (degree test failed)")
     added = []
     for g in G:
-        r = current.rel_exponent(g)
-        if r:
+        nxt = current.adjoin(g)
+        if nxt is not current:
             added.append(g)
-            current = current._adjoin_by(g, r)
+            current = nxt
     if current.degree_log != K.degree_log:
         raise ValueError("G does not generate K over k(K^p)")
     return RBase(B + tuple(added))

@@ -162,9 +162,12 @@ class Subfield:
     def _adjoin_by(self, e: PerfElem, r: int) -> "Subfield":
         """K(e) for a caller that already knows r = o(e/K).
 
+        The caller must pass exactly o(e/K), computed on this same field.
         1, e, ..., e^(p^r - 1) is a K-basis of K(e), so the products b*e^l
         of the K-basis b with 0 <= l < p^r form a k-basis: each one must
-        grow the span, which also checks the r given.
+        grow the span.  That check catches an r that is too large; an r
+        that is too small goes undetected and yields a proper subspace of
+        K(e), not a field.
         """
         if r == 0:
             return self
