@@ -12,16 +12,16 @@ from .invariants import (RBase, UTable, ParityLengths, canonical_rbase,
                          rbase_complete, rbase_extract, rp_chain, u_table)
 from .perfect import CapExceeded, Context, PerfElem
 from .polynomials import MultiPoly, RatFunc
-from .subfields import Subfield, TruncationField
+from .subfields import Subfield
 from .towers import TowerFamily, family
 
 __all__ = [
     "CapExceeded", "Context", "MultiPoly", "ParityLengths", "PerfElem",
-    "RBase", "RatFunc", "Subfield", "TowerFamily", "TruncationField",
-    "UTable", "canonical_rbase", "defining_equations", "di",
-    "exponents_by_di", "family", "is_equiexponential", "is_modular",
-    "parity_lengths", "parse_element", "rbase_complete", "rbase_extract",
-    "render_element", "rp_chain", "u_table",
+    "RBase", "RatFunc", "Subfield", "TowerFamily", "UTable",
+    "canonical_rbase", "defining_equations", "di", "exponents_by_di",
+    "family", "is_equiexponential", "is_modular", "parity_lengths",
+    "parse_element", "rbase_complete", "rbase_extract", "render_element",
+    "rp_chain", "u_table",
 ]
 
 __version__ = "0.1.0"

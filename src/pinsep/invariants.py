@@ -162,7 +162,8 @@ def defining_equations(K: Subfield, B: RBase) -> dict:
 
     w_eps runs over the monomials (alpha_1, ..., alpha_{j-1})^(p^m_j * eps)
     with eps in the box {0 <= eps_t < p^(m_t - m_j)}; the coefficients are
-    the unique elements of k expressing the relation, solved exactly.
+    the unique elements of k expressing the relation, solved exactly, and
+    are returned as level-0 PerfElem.
     """
     if B.exponents is None:
         raise ValueError("defining equations need an ordered r-base")
@@ -189,7 +190,7 @@ def defining_equations(K: Subfield, B: RBase) -> dict:
             raise InternalInconsistency(
                 f"defining equation {j} has no unique solution: {exc}") from exc
         for eps, c in zip(box, coeffs):
-            out[(j, eps)] = c
+            out[(j, eps)] = PerfElem(K.ctx, 0, c)
     return out
 
 
@@ -224,19 +225,18 @@ def is_modular(K: Subfield, method: str = "both"):
 def _modular_by_criterion(K: Subfield):
     B = canonical_rbase(K)
     eqs = defining_equations(K, B)
-    names = K.ctx.variables
     for (j, eps), c in sorted(eqs.items()):
-        if c.is_const():
+        if c.body.is_const():
             continue
         m_j = B.exponents[j - 1]
-        root = PerfElem(K.ctx, 0, c).frob(-m_j)
-        if not K.member(root):
+        if not K.member(c.frob(-m_j)):
+            text = c.render()
             witness = {
                 "method": "criterion",
                 "j": j,
                 "eps": eps,
-                "coefficient": c.render(names),
-                "reason": f"{c.render(names)} not in K^(p^{m_j})",
+                "coefficient": text,
+                "reason": f"{text} not in K^(p^{m_j})",
             }
             return False, witness
     return True, None
@@ -245,7 +245,7 @@ def _modular_by_criterion(K: Subfield):
 def _modular_by_disjointness(K: Subfield):
     for n in range(1, K.level + 1):
         lifted = K.degree_log_over_lifted_base(n)
-        relative = K.degree_log - K.truncation(n).field.degree_log
+        relative = K.degree_log - K.truncation(n).degree_log
         if lifted != relative:
             witness = {
                 "method": "disjointness",
@@ -346,7 +346,7 @@ def u_table(family, horizon: int, s_max: int) -> UTable:
                          f"got horizon={horizon}, s_max={s_max}")
     exps = {}
     for j in range(1, horizon + 1):
-        k_j = family.truncation_field(j, horizon)
+        k_j = family.stage(horizon).truncation(j)
         exps[j] = canonical_rbase(k_j).exponents
     entries = []
     for s in range(1, s_max + 1):
@@ -433,7 +433,7 @@ def truncation_formula_check(family, s: int, n: int) -> bool:
     predicted = family.predicted_truncation(s, n)
     big = family.stage(family.max_stage)
     if s == 0:
-        lhs = big.truncation(n).field
+        lhs = big.truncation(n)
     else:
         lhs = family.stage(s).perfect_lift(n).intersect(big)
     return lhs == Subfield.span(family.ctx, predicted)
@@ -447,7 +447,7 @@ def modular_rbase_truncation_check(K: Subfield, B: RBase) -> bool:
     j < o_1(K/k).  B must be modular: the tensor degree test
     sum n_a = log_p [K : k] is verified first.
     """
-    levels = [a.exponent_over_base() for a in B.elements]
+    levels = [a.level for a in B.elements]
     if sum(levels) != K.degree_log:
         raise ValueError("B is not a modular r-base (tensor degree test failed)")
     o1 = max(levels, default=0)
@@ -455,6 +455,6 @@ def modular_rbase_truncation_check(K: Subfield, B: RBase) -> bool:
         predicted = []
         for a, n_a in zip(B.elements, levels):
             predicted.append(a.frob(n_a - j) if n_a > j else a)
-        if Subfield.span(K.ctx, predicted) != K.truncation(j).field:
+        if Subfield.span(K.ctx, predicted) != K.truncation(j):
             return False
     return True

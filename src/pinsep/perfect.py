@@ -158,11 +158,7 @@ class PerfElem:
             return PerfElem(self.ctx, 0, body)
         return PerfElem(self.ctx, self.level - j, self.body)
 
-    # -- invariants -------------------------------------------------------
-
-    def exponent_over_base(self) -> int:
-        """o(e/k): least m with e^(p^m) in k; equals the canonical level."""
-        return self.level
+    # -- predicates -------------------------------------------------------
 
     def is_zero(self):
         return self.body.is_zero()
@@ -187,9 +183,4 @@ class PerfElem:
         return render_element(self)
 
     def __repr__(self):
-        return f"PerfElem(level={self.level}, {self.body.render(self._scaled_names())})"
-
-    def _scaled_names(self):
-        if self.level == 0:
-            return list(self.ctx.variables)
-        return [f"rt({v},{self.level})" for v in self.ctx.variables]
+        return f"PerfElem({self.render()})"

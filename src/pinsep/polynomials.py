@@ -236,7 +236,7 @@ class MultiPoly:
                 terms[tuple(f)] = m
         return MultiPoly(p, self.nvars, terms)
 
-    # -- comparison / rendering ------------------------------------------
+    # -- comparison -----------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.p == other.p
@@ -247,29 +247,8 @@ class MultiPoly:
             self._hash = hash((self.p, self.nvars, tuple(self.sorted_terms())))
         return self._hash
 
-    def render(self, names=None) -> str:
-        if not self.terms:
-            return "0"
-        if names is None:
-            names = [f"x{i}" for i in range(self.nvars)]
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(names[i])
-                elif k > 1:
-                    factors.append(f"{names[i]}^{k}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(c)] + factors))
-        return "+".join(parts)
-
     def __repr__(self):
-        return f"MultiPoly(p={self.p}, {self.render()})"
+        return f"MultiPoly(p={self.p}, {self.sorted_terms()})"
 
 
 class VariableCountMismatch(ValueError):
@@ -286,9 +265,12 @@ class VariableCountMismatch(ValueError):
 # Otherwise exact division uses the ordinary one-divisor division
 # algorithm in graded-lex order, and the gcd is the classical recursive
 # scheme: strip monomial content, pick the highest active variable as the
-# main one, split into content and primitive part, and run a subresultant
-# pseudo-remainder sequence on the primitive parts.  All choices are
-# deterministic and results are normalized monic in graded-lex.
+# main one, split into content and primitive part, and run a primitive
+# pseudo-remainder sequence on the primitive parts.  This is the one
+# route for every gcd without a single-term argument, univariate ones
+# included: there the coefficients in the main variable are constants.
+# All choices are deterministic and results are normalized monic in
+# graded-lex.
 # ----------------------------------------------------------------------
 
 
@@ -401,42 +383,6 @@ def _uni_content(a):
     return g
 
 
-def _gcd_single_var(f: MultiPoly, g: MultiPoly, i: int) -> MultiPoly:
-    """Euclid for polynomials that only involve variable i (base case)."""
-    p, nv = f.p, f.nvars
-
-    def to_list(h):
-        d = h.degree_in(i)
-        out = [0] * (d + 1)
-        for e, c in h.terms.items():
-            out[e[i]] = c
-        return out
-
-    a, b = to_list(f), to_list(g)
-    while b and any(b):
-        inv = pow(b[-1], p - 2, p)
-        b = [(c * inv) % p for c in b]
-        while len(a) >= len(b):
-            if a[-1]:
-                lc = a[-1]
-                shift = len(a) - len(b)
-                for j, bc in enumerate(b):
-                    a[shift + j] = (a[shift + j] - lc * bc) % p
-            while a and a[-1] == 0:
-                a.pop()
-            if not a:
-                break
-        a, b = b, a
-    inv = pow(a[-1], p - 2, p)
-    terms = {}
-    for k, c in enumerate(a):
-        if c:
-            e = [0] * nv
-            e[i] = k
-            terms[tuple(e)] = (c * inv) % p
-    return MultiPoly(p, nv, terms)
-
-
 def _make_monic(f: MultiPoly) -> MultiPoly:
     if f.is_zero():
         return f
@@ -445,7 +391,7 @@ def _make_monic(f: MultiPoly) -> MultiPoly:
 
 
 def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic gcd: direct for a single-term argument, else subresultant PRS
+    """Monic gcd: direct for a single-term argument, else primitive PRS
     on the recursive dense form."""
     if f.p != g.p or f.nvars != g.nvars:
         raise ValueError("gcd of incompatible polynomials")
@@ -475,10 +421,7 @@ def _gcd_core(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return MultiPoly.one(p, nv)
     if f == g:
         return f
-    used = f.variables_used() | g.variables_used()
-    if len(used) == 1:
-        return _gcd_single_var(f, g, used.pop())
-    i = max(used)
+    i = max(f.variables_used() | g.variables_used())
     uf = _to_univariate(f, i)
     ug = _to_univariate(g, i)
     cont_f = _uni_content(uf)
@@ -669,7 +612,7 @@ class RatFunc:
         # exactly "all exponents of num and den divisible by k"
         return RatFunc(self.num.divide_exponents(k), self.den.divide_exponents(k))
 
-    # -- comparison / rendering ------------------------------------------
+    # -- comparison -----------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, RatFunc) and self.num == other.num
@@ -680,19 +623,9 @@ class RatFunc:
             self._hash = hash((self.num, self.den))
         return self._hash
 
-    def render(self, names=None) -> str:
-        if self.den.is_one():
-            return self.num.render(names)
-        num = self.num.render(names)
-        den = self.den.render(names)
-        if len(self.num.terms) > 1:
-            num = f"({num})"
-        if len(self.den.terms) > 1:
-            den = f"({den})"
-        return f"{num}/{den}"
-
     def __repr__(self):
-        return f"RatFunc(p={self.p}, {self.render()})"
+        return (f"RatFunc(p={self.p}, num={self.num.sorted_terms()}, "
+                f"den={self.den.sorted_terms()})")
 
 
 def _rf_normalize(num: MultiPoly, den: MultiPoly):

@@ -79,7 +79,7 @@ def rbase_report(K: Subfield, name=None) -> dict:
     rep["exponents"] = list(base.exponents)
     eqs = inv.defining_equations(K, base)
     rep["defining_equations"] = [
-        {"j": j, "eps": list(eps), "coefficient": c.render(K.ctx.variables)}
+        {"j": j, "eps": list(eps), "coefficient": c.render()}
         for (j, eps), c in sorted(eqs.items())
     ]
     return rep
@@ -96,7 +96,7 @@ def modular_report(K: Subfield, method="both", name=None) -> dict:
 
 
 def truncate_report(K: Subfield, n: int, name=None) -> dict:
-    trunc = K.truncation(n).field
+    trunc = K.truncation(n)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "truncate",

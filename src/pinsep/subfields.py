@@ -18,8 +18,6 @@ and parallel-safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import Echelon, intersect_spans, nullspace, vec_add_scaled
 from .perfect import Context, PerfElem
 from .polynomials import MultiPoly, RatFunc
@@ -115,14 +113,6 @@ def _log_p(n: int, p: int) -> int:
         n //= p
         log += 1
     return log
-
-
-@dataclass(frozen=True)
-class TruncationField:
-    """k_n = k^(1/p^n) ∩ K together with the cut level n."""
-
-    n: int
-    field: "Subfield"
 
 
 class Subfield:
@@ -266,12 +256,12 @@ class Subfield:
         roots = tuple(self.ctx.root_of_variable(v, n) for v in self.ctx.variables)
         return Subfield.span(self.ctx, roots + tuple(g.frob(-n) for g in self.gens))
 
-    def truncation(self, n: int) -> TruncationField:
+    def truncation(self, n: int) -> "Subfield":
         """k_n = K ∩ A_n, cut out by vanishing of coordinates outside A_n."""
         if n < 0:
             raise ValueError("truncation level must be nonnegative")
         if n >= self.level:
-            return TruncationField(n, self)
+            return self
         p = self.ctx.p
         step = p ** (self.level - n)
         rows = self._echelon.basis_rows()
@@ -294,7 +284,7 @@ class Subfield:
         field = Subfield._from_vectors(self.ctx, self.level, vecs)
         if field.level > n:
             raise InternalInconsistency("truncation left elements above the cut")
-        return TruncationField(n, field)
+        return field
 
     def linearly_disjoint(self, other: "Subfield") -> bool:
         """Linear disjointness over the intersection, by degree counting:

@@ -64,10 +64,6 @@ class TowerFamily:
             self._stages[n] = Subfield.span(self.ctx, self.generators(n))
         return self._stages[n]
 
-    def truncation_field(self, j: int, horizon: int) -> Subfield:
-        """k_j = k^(1/p^j) ∩ K, evaluated against the stage at `horizon`."""
-        return self.stage(horizon).truncation(j).field
-
     def predicted_truncation(self, s: int, n: int):
         if self._predicted is None:
             raise ValueError(f"{self.name} has no predicted truncation formula")
@@ -112,13 +108,13 @@ def modular_diag(t: int = 2, m: int = 3, p: int = 2) -> TowerFamily:
     def claims_builder(fam):
         def degrees():
             big = fam.stage(m)
-            return all(big.truncation(n).field.degree_log == t * n
+            return all(big.truncation(n).degree_log == t * n
                        for n in range(m + 1))
 
         def equiexponential_truncations():
             big = fam.stage(m)
             for n in range(1, m + 1):
-                ok, e = inv.is_equiexponential(big.truncation(n).field)
+                ok, e = inv.is_equiexponential(big.truncation(n))
                 if not ok or e != n:
                     return False
             return True
@@ -193,7 +189,7 @@ def _stage_predicted(fam, s, k):
 
 def _truncation_identity(fam):
     """k^(1/p^j) ∩ K_m = K_j for every j <= m <= max_stage."""
-    return all(fam.stage(m).truncation(j).field == fam.stage(j)
+    return all(fam.stage(m).truncation(j) == fam.stage(j)
                for m in range(fam.max_stage + 1) for j in range(m + 1))
 
 
@@ -350,7 +346,7 @@ def exe4(n: int = 3, p: int = 2) -> TowerFamily:
 
         def truncation_identity():
             big = fam.stage(N)
-            return all(big.truncation(k).field == fam.stage(k)
+            return all(big.truncation(k) == fam.stage(k)
                        for k in range(N + 1))
 
         def rp_trend():

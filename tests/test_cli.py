@@ -282,6 +282,31 @@ def test_pinned_claims_stdout():
     assert run_cli("--json", *argv) == (0, PINNED_CLAIMS_JSON, "")
 
 
+AMBIGUOUS_COEFFICIENT = """\
+p: 2
+variables: [X, Y, Z]
+fields:
+  K: ["rt(X,2)", "rt(X,1)/(rt(Y,1)*rt(Z,1))"]
+"""
+
+
+def test_pinned_coefficient_parses_back(tmp_path):
+    """A coefficient X/(Y*Z) keeps its brackets; X/Y*Z would read (X/Y)*Z."""
+    path = tmp_path / "ctx.yaml"
+    path.write_text(AMBIGUOUS_COEFFICIENT)
+    assert run_cli("--context", str(path), "rbase", "K") == (0, """\
+canonical r-base of K:
+  exponent 2: rt(X,2)
+  exponent 1: rt(X,1)/(rt(Y,1)*rt(Z,1))
+  defining eq j=2 eps=[0]: X/(Y*Z)
+  defining eq j=2 eps=[1]: 0
+""", "")
+    rc, out, _ = run_cli("--context", str(path), "--json", "rbase", "K")
+    assert rc == 0
+    eqs = json.loads(out)["defining_equations"]
+    assert [eq["coefficient"] for eq in eqs] == ["X/(Y*Z)", "0"]
+
+
 def test_family_stage_reference(config_path):
     rc, out, _ = run_cli("--context", config_path, "--json",
                          "invariants", "diag:2")

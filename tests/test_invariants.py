@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pinsep import invariants as inv
+from pinsep.exprs import parse_element
 from pinsep.perfect import Context
 from pinsep.subfields import Subfield
 from pinsep.towers import family
@@ -187,7 +188,7 @@ def test_exponent_monotonicity_under_truncation(small_corpus):
     for K in small_corpus[:10]:
         big = inv.canonical_rbase(K).exponents
         for n in range(K.level + 1):
-            L = K.truncation(n).field
+            L = K.truncation(n)
             small = inv.canonical_rbase(L).exponents
             for j, e in enumerate(small):
                 assert e <= big[j]
@@ -271,9 +272,9 @@ def test_modular_truncations_have_stable_di(small_corpus):
         verdict, _ = inv.is_modular(K, "criterion")
         if not verdict or K.level < 2:
             continue
-        first = inv.di(K.truncation(1).field)
+        first = inv.di(K.truncation(1))
         for n in range(2, K.level + 1):
-            assert inv.di(K.truncation(n).field) == first
+            assert inv.di(K.truncation(n)) == first
 
 
 # ----------------------------------------------------------------------
@@ -285,9 +286,8 @@ def test_defining_equations_section5(ctx):
     K = section5(ctx)
     B = inv.canonical_rbase(K)
     eqs = inv.defining_equations(K, B)
-    names = ctx.variables
-    assert eqs[(2, (0,))].render(names) == "Z"
-    assert eqs[(2, (1,))].render(names) == "Y"
+    assert eqs[(2, (0,))].render() == "Z"
+    assert eqs[(2, (1,))].render() == "Y"
     # reconstruct: alpha_2^p = Y alpha_1^p + Z exactly
     a1, a2 = B.elements
     Y, Z = ctx.variable("Y"), ctx.variable("Z")
@@ -304,7 +304,7 @@ def test_defining_equations_tensor(ctx):
     K = Subfield.span(ctx, roots(ctx, [("X", 2), ("Y", 1)]))
     B = inv.canonical_rbase(K)
     eqs = inv.defining_equations(K, B)
-    assert eqs[(2, (0,))].render(ctx.variables) == "Y"
+    assert eqs[(2, (0,))].render() == "Y"
     assert eqs[(2, (1,))].is_zero()
 
 
@@ -314,6 +314,9 @@ def test_defining_equations_reconstruct(small_corpus):
         B = inv.canonical_rbase(K)
         eqs = inv.defining_equations(K, B)
         p = K.ctx.p
+        for c in eqs.values():
+            # each coefficient prints in the element grammar and reads back
+            assert parse_element(K.ctx, c.render()) == c
         for j in range(2, len(B) + 1):
             m_j = B.exponents[j - 1]
             lhs = B.elements[j - 1].frob(m_j)
@@ -324,8 +327,7 @@ def test_defining_equations_reconstruct(small_corpus):
                 w = K.ctx.one()
                 for t, e_t in enumerate(eps):
                     w = w * B.elements[t].frob(m_j) ** e_t
-                from pinsep.perfect import PerfElem
-                rhs = rhs + PerfElem(K.ctx, 0, c) * w
+                rhs = rhs + c * w
             assert lhs == rhs
 
 
@@ -388,7 +390,7 @@ def test_equiexponential_truncation_degree_law(ctx):
     assert ok
     d = inv.di(K)
     for n in range(e + 1):
-        assert K.truncation(n).field.degree_log == n * d
+        assert K.truncation(n).degree_log == n * d
 
 
 # ----------------------------------------------------------------------

@@ -76,11 +76,11 @@ def test_normalize_level_idempotent_and_value_preserving(ctx):
 
 def test_exponent_over_base_examples(ctx):
     X, Y, Z = (ctx.variable(v) for v in "XYZ")
-    assert X.frob(-2).exponent_over_base() == 2
-    assert (X + Y).exponent_over_base() == 0
+    assert X.frob(-2).level == 2
+    assert (X + Y).level == 0
     # X^(1/4) Y^(1/2) + Z^(1/2): squaring twice first lands in k
     e = X.frob(-2) * Y.frob(-1) + Z.frob(-1)
-    assert e.exponent_over_base() == 2
+    assert e.level == 2
     sq = e.frob(1)
     assert sq.level == 1
     assert sq == X.frob(-1) * Y + Z

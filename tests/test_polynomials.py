@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pinsep.exprs import render_element
+from pinsep.perfect import Context, PerfElem
 from pinsep.polynomials import (MultiPoly, RatFunc, VariableCountMismatch,
                                 _gcd_core, _make_monic, _monomial_content,
                                 _shift_down, mp_divmod, mp_exact_div, mp_gcd)
@@ -53,7 +55,8 @@ def test_no_zero_terms_stored():
 
 def test_render_sorted_graded_lex():
     q = poly(3, 2, {(0, 0): 2, (1, 1): 1, (2, 0): 1})
-    assert q.render(["x", "y"]) == "x^2+x*y+2"
+    e = PerfElem(Context(3, ("x", "y")), 0, RatFunc.of_poly(q))
+    assert render_element(e) == "x^2+x*y+2"
 
 
 @st.composite
@@ -153,6 +156,8 @@ def test_gcd_monic_and_divides():
         assert mp_divmod(g * h, d)[1].is_zero()
         # the common factor h divides the gcd
         assert mp_divmod(d, h)[1].is_zero()
+        # and d is the greatest: the cofactors are coprime
+        assert mp_gcd(mp_exact_div(f * h, d), mp_exact_div(g * h, d)).is_one()
         # monic in graded-lex
         assert d.leading()[1] == 1
 
@@ -179,7 +184,7 @@ def kernel_args(draw):
 
 
 def general_gcd(f, g):
-    """The subresultant route of mp_gcd, which the monomial case skips."""
+    """The primitive PRS route of mp_gcd, which the monomial case skips."""
     mf, mg = _monomial_content(f), _monomial_content(g)
     common = tuple(min(a, b) for a, b in zip(mf, mg))
     core = _gcd_core(_shift_down(f, mf), _shift_down(g, mg))

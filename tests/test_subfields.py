@@ -195,19 +195,17 @@ def test_frobenius_image_rejects_negative(ctx):
 
 def test_truncation_zero_is_base(ctx):
     K = section5_field(ctx)
-    t = K.truncation(0)
-    assert t.n == 0
-    assert t.field.degree_log == 0
+    assert K.truncation(0).degree_log == 0
 
 
 def test_truncation_chain_monotone(ctx):
     K = section5_field(ctx)
-    prev = K.truncation(0).field
+    prev = K.truncation(0)
     for n in range(1, 4):
-        cur = K.truncation(n).field
+        cur = K.truncation(n)
         assert cur.contains_field(prev)
         prev = cur
-    assert fields_equal(K.truncation(K.level).field, K)
+    assert fields_equal(K.truncation(K.level), K)
 
 
 def test_truncation_tensor_degrees(ctx):
@@ -216,7 +214,7 @@ def test_truncation_tensor_degrees(ctx):
     K = Subfield.span(big, [big.root_of_variable("X", 3),
                             big.root_of_variable("Y", 3)])
     for n in range(4):
-        assert K.truncation(n).field.degree_log == 2 * n
+        assert K.truncation(n).degree_log == 2 * n
 
 
 def test_truncation_soundness_on_random_fields(small_corpus):
@@ -224,17 +222,17 @@ def test_truncation_soundness_on_random_fields(small_corpus):
     the cut is exact at n = o_1 (equality with K)."""
     for K in small_corpus[:8]:
         for n in range(K.level + 1):
-            t = K.truncation(n).field
+            t = K.truncation(n)
             for b in t.basis_elements():
                 assert b.level <= n
                 assert K.member(b)
-        assert fields_equal(K.truncation(K.level).field, K)
+        assert fields_equal(K.truncation(K.level), K)
 
 
 def test_tower_law_on_truncations(ctx):
     K = section5_field(ctx)
     for n in range(K.level + 1):
-        L = K.truncation(n).field
+        L = K.truncation(n)
         assert L.degree_log <= K.degree_log
         # [K:L] = degree ratio is a nonnegative power of p
         assert K.degree_log - L.degree_log >= 0

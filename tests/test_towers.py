@@ -99,20 +99,20 @@ def test_exe2_truncation_identity():
     fam = family("exe2", n=3)
     K3 = fam.stage(3)
     for n in range(4):
-        assert fields_equal(K3.truncation(n).field, fam.stage(n))
+        assert fields_equal(K3.truncation(n), fam.stage(n))
 
 
 def test_exe4_truncations_match_schedule():
     fam = family("exe4", n=3)
     K3 = fam.stage(3)
-    assert fields_equal(K3.truncation(1).field, fam.stage(1))
-    assert fields_equal(K3.truncation(2).field, fam.stage(2))
+    assert fields_equal(K3.truncation(1), fam.stage(1))
+    assert fields_equal(K3.truncation(2), fam.stage(2))
     # k_2 = k(X^(1/4), theta_1) explicitly
     ctx = fam.ctx
     theta1 = (ctx.root_of_variable("Y1", 1) * ctx.root_of_variable("X", 2)
               + ctx.root_of_variable("Z1", 1))
     expected = Subfield.span(ctx, [ctx.root_of_variable("X", 2), theta1])
-    assert fields_equal(K3.truncation(2).field, expected)
+    assert fields_equal(K3.truncation(2), expected)
 
 
 def test_exe6_first_stage_is_roots():
@@ -137,7 +137,7 @@ def test_truncation_di_monotone():
         K = fam.stage(fam.max_stage)
         top = inv.di(K)
         for n in range(K.level + 1):
-            assert inv.di(K.truncation(n).field) <= top
+            assert inv.di(K.truncation(n)) <= top
 
 
 def test_exe6_predicted_truncation_errors():
@@ -171,7 +171,7 @@ def test_custom_family_direct():
                       lambda n: [ctx.root_of_variable("X", n)] if n else [],
                       3)
     assert fam.stage(2).degree_log == 2
-    assert fam.truncation_field(1, 3).degree_log == 1
+    assert fam.stage(3).truncation(1).degree_log == 1
     with pytest.raises(ValueError):
         fam.predicted_truncation(0, 1)
 
