@@ -54,10 +54,19 @@ def load_config(text: str) -> ContextConfig:
         raise ConfigError("configuration must be a mapping")
     try:
         p = int(doc["p"])
-        variables = tuple(str(v) for v in doc["variables"])
+        variables = doc["variables"]
+        cap = int(doc.get("ambient_cap", 6))
     except KeyError as exc:
         raise ConfigError(f"missing required key {exc}") from exc
-    cap = int(doc.get("ambient_cap", 6))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'p' and 'ambient_cap' must be integers: "
+                          f"{exc}") from exc
+    if not isinstance(variables, list):
+        raise ConfigError("'variables' must be a list of names")
+    variables = tuple(str(v) for v in variables)
+    for key in ("bindings", "fields", "families"):
+        if doc.get(key) is not None and not isinstance(doc[key], dict):
+            raise ConfigError(f"{key!r} must be a mapping of names")
     for v in variables:
         if v in RESERVED:
             raise ConfigError(f"variable name {v!r} is reserved")

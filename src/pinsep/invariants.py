@@ -140,7 +140,8 @@ def exponents_by_di(K: Subfield, s: int) -> int:
         raise ValueError("s must be >= 1")
     m = 0
     while True:
-        if di(K.frobenius_image(m)) < s:
+        if (K.frobenius_image(m).degree_log
+                - K.frobenius_image(m + 1).degree_log) < s:
             return m
         m += 1
 
@@ -201,8 +202,9 @@ def is_modular(K: Subfield, method: str = "both"):
     k ∩ K^(p^m_j), tested as C^(1/p^m_j) in K via the Frobenius
     isomorphism.  disjointness: for each 1 <= n <= o_1(K/k), K and
     k^(1/p^n) must be linearly disjoint over k_n, tested by the degree
-    identity [k^(1/p^n)(K) : k^(1/p^n)] = [K : k_n] computed via ranks
-    and degree ratios.  With method "both" the two verdicts must agree.
+    identity [k^(1/p^n)(K) : k^(1/p^n)] = [K : k_n], whose left side is
+    [k(K^(p^n)) : k] through the n-th power of Frobenius.  With method
+    "both" the two verdicts must agree.
     """
     if method not in ("criterion", "disjointness", "both"):
         raise ValueError(f"unknown method {method!r}")

@@ -12,8 +12,8 @@ exactly o_1(K/k).
 Construction follows the tower law: adjoining e to K multiplies the degree
 by p^o(e/K), and the products of K's basis with 1, e, ..., e^(p^o - 1)
 are a k-basis of K(e), so every Subfield is an honest field.  Bases are
-computed once and cached immutably; all query operations are read-only
-and parallel-safe.
+computed once and never change; each field memoizes its Frobenius images
+k(K^(p^j)) and its canonical r-base, so each is built at most once.
 """
 
 from __future__ import annotations
@@ -245,11 +245,20 @@ class Subfield:
         return Subfield._from_vectors(self.ctx, m, vecs)
 
     def frobenius_image(self, j: int) -> "Subfield":
-        """k(K^(p^j)), spanned by the p^j-th powers of the generators."""
+        """k(K^(p^j)), spanned by the p^j-th powers of the generators.
+
+        Memoized per j: di, rp_chain and the disjointness test share it.
+        """
         if j < 0:
             raise ValueError("frobenius_image takes j >= 0; "
                              "use perfect_lift for roots")
-        return Subfield.span(self.ctx, tuple(g.frob(j) for g in self.gens))
+        if j == 0:
+            return self
+        key = ("frobenius_image", j)
+        if key not in self._cache:
+            self._cache[key] = Subfield.span(
+                self.ctx, tuple(g.frob(j) for g in self.gens))
+        return self._cache[key]
 
     def perfect_lift(self, n: int) -> "Subfield":
         """K^(1/p^n) = k(x^(1/p^n), g^(1/p^n)); degree grows by p^(nu*n)."""
@@ -307,34 +316,12 @@ class Subfield:
         raise InternalInconsistency("element escaped its own level bound")
 
     def degree_log_over_lifted_base(self, n: int) -> int:
-        """log_p [A_n(K) : A_n], computed as a rank over F_p(x^(1/p^n)).
+        """log_p [A_n(K) : A_n] with A_n = k^(1/p^n), read as [k(K^(p^n)) : k].
 
-        A_M is a free A_n-module on the t-monomials with exponents below
-        p^(M-n); re-keying the basis accordingly turns the degree into a
-        plain rank computation and never materializes A_n over k.
+        The n-th power of Frobenius maps A_n onto k and A_n(K) onto
+        k(K^(p^n)), and an isomorphism preserves degrees.
         """
-        if n >= self.level:
-            return 0
-        p = self.ctx.p
-        step = p ** (self.level - n)
-        scale = p ** n
-        ech = Echelon()
-        for r in self._echelon.basis_rows():
-            v: dict = {}
-            for e, c in r.items():
-                rem = tuple(x % step for x in e)
-                carry = tuple(x // step for x in e)
-                coeff = c.scale_exponents(scale)
-                if any(carry):
-                    coeff = coeff * RatFunc.monomial(p, self.ctx.nvars, carry)
-                prev = v.get(rem)
-                s = coeff if prev is None else prev + coeff
-                if s.is_zero():
-                    v.pop(rem, None)
-                else:
-                    v[rem] = s
-            ech.insert(v)
-        return _log_p(len(ech), p)
+        return self.frobenius_image(n).degree_log
 
     def _check(self, other: "Subfield"):
         if self.ctx != other.ctx:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pinsep.cli import load_config, main
+from pinsep.cli import ConfigError, load_config, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -92,6 +92,26 @@ def test_config_errors():
         load_config(bad)                # name collision
     with pytest.raises(Exception):
         load_config("p: 9\nvariables: [X]\n")
+
+    malformed = [
+        "p: 2\nvariables: 5\n",
+        "p: 2\nvariables: XY\n",                   # not read as X, Y
+        "p: 2\nvariables: [X]\nfields: [K]\n",
+        "p: 2\nvariables: [X]\nbindings: 3\n",
+        "p: [2]\nvariables: [X]\n",
+        "p: 2\nvariables: [X]\nambient_cap: [6]\n",
+    ]
+    for text in malformed:
+        with pytest.raises(ConfigError):
+            load_config(text)
+
+
+def test_malformed_config_is_parse_error(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("p: 2\nvariables: [X]\nfields: [K]\n")
+    rc, out, err = run_cli("--context", str(path), "parity", "3")
+    assert rc == 2 and out == ""
+    assert err.startswith("error[parse]:") and "'fields'" in err
 
 
 def test_invariants_from_config(config_path):

@@ -2,10 +2,11 @@
 modularity, equiexponentiality, rp chains, U-tables, parity lengths."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from pinsep import invariants as inv
+from pinsep import invariants as inv, report
 from pinsep.exprs import parse_element
 from pinsep.perfect import Context
 from pinsep.subfields import Subfield
@@ -367,6 +368,33 @@ def test_modular_methods_agree(small_corpus):
 def test_modular_bad_method(ctx):
     with pytest.raises(ValueError):
         inv.is_modular(section5(ctx), "magic")
+
+
+def test_modular_deep_p3_field():
+    """Degree 3^4; [A_1(K) : A_1] by a rank over A_1 ran for minutes here."""
+    ctx = Context(3, ("X", "Y", "Z"))
+    gens = ("rt(X,2)*rt(Y,2)*rt(Z,1)+2*rt(X,2)*rt(Y,2)*rt(Z,2)",
+            "2*rt(Y,2)^2*Z^2+rt(X,1)^2*Y*rt(Z,2)^2")
+    K = Subfield.span(ctx, [parse_element(ctx, g) for g in gens])
+    assert inv.is_modular(K, "both") == (True, None)
+    assert inv.canonical_rbase(K).exponents == (2, 2)
+    report.oracle_checks(K)
+
+
+def test_invariant_report_spans_each_field_once(monkeypatch):
+    """One oracle report builds each k(K^(p^j)) once, however often asked."""
+    K = family("exe2").stage(3)
+    real = Subfield.span.__func__
+    spans = Counter()
+
+    def counting_span(cls, ctx, gens):
+        gens = tuple(gens)
+        spans[tuple(g.render() for g in gens)] += 1
+        return real(cls, ctx, gens)
+
+    monkeypatch.setattr(Subfield, "span", classmethod(counting_span))
+    report.invariant_report(K, oracle=True)
+    assert spans and max(spans.values()) == 1, spans
 
 
 # ----------------------------------------------------------------------

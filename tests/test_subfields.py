@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from pinsep.linalg import rank
+from pinsep.linalg import Echelon, rank
 from pinsep.perfect import Context
-from pinsep.subfields import (InternalInconsistency, Subfield, to_vector,
-                              vec_mul)
+from pinsep.polynomials import RatFunc
+from pinsep.subfields import (InternalInconsistency, Subfield, _log_p,
+                              to_vector, vec_mul)
 
 from conftest import fields_equal, random_element, random_field
 
@@ -181,6 +182,7 @@ def test_frobenius_image_composes(ctx):
     a = K.frobenius_image(1).frobenius_image(1)
     b = K.frobenius_image(2)
     assert fields_equal(a, b)
+    assert K.frobenius_image(2) is K.frobenius_image(2)
 
 
 def test_frobenius_image_rejects_negative(ctx):
@@ -292,6 +294,45 @@ def test_degree_over_lifted_base(ctx):
     K = Subfield.span(ctx, roots(ctx, [("X", 2)]))
     assert K.degree_log_over_lifted_base(1) == 1
     assert K.degree_log_over_lifted_base(2) == 0
+
+
+def lifted_degree_log_by_rank(K, n):
+    """Reference for log_p [A_n(K) : A_n], independent of Frobenius images.
+
+    A_M is a free A_n-module on the t-monomials with exponents below
+    p^(M-n); re-keying K's basis accordingly turns the degree into a rank
+    over F_p(x^(1/p^n)) and never materializes A_n over k.
+    """
+    if n >= K.level:
+        return 0
+    p = K.ctx.p
+    step = p ** (K.level - n)
+    scale = p ** n
+    ech = Echelon()
+    for r in K.basis_vectors():
+        v: dict = {}
+        for e, c in r.items():
+            rem = tuple(x % step for x in e)
+            carry = tuple(x // step for x in e)
+            coeff = c.scale_exponents(scale)
+            if any(carry):
+                coeff = coeff * RatFunc.monomial(p, K.ctx.nvars, carry)
+            prev = v.get(rem)
+            s = coeff if prev is None else prev + coeff
+            if s.is_zero():
+                v.pop(rem, None)
+            else:
+                v[rem] = s
+        ech.insert(v)
+    return _log_p(len(ech), p)
+
+
+def test_degree_over_lifted_base_matches_rank(small_corpus):
+    """[A_n(K) : A_n] through Frobenius equals the rank over A_n."""
+    for K in small_corpus:
+        for n in range(1, K.level + 1):
+            assert (K.degree_log_over_lifted_base(n)
+                    == lifted_degree_log_by_rank(K, n)), (K, n)
 
 
 def test_perfect_lift_degree(ctx):
