@@ -103,11 +103,23 @@ def load_config(text: str) -> ContextConfig:
 def _custom_family(ctx, name, entry, bindings) -> TowerFamily:
     if not isinstance(entry, dict):
         raise ConfigError(f"family {name!r} must be a mapping")
-    max_stage = int(entry.get("max_stage", 3))
+    try:
+        max_stage = int(entry.get("max_stage", 3))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"family {name!r}: 'max_stage' must be an integer: "
+                          f"{exc}") from exc
     schedule_map = entry.get("schedule")
     template = entry.get("template")
     if schedule_map is None and template is None:
         raise ConfigError(f"family {name!r} needs a schedule or a template")
+    if schedule_map is not None and not (
+            isinstance(schedule_map, dict)
+            and all(isinstance(v, list) for v in schedule_map.values())):
+        raise ConfigError(f"family {name!r}: 'schedule' must map stages "
+                          f"to lists of expressions")
+    if template is not None and not isinstance(template, list):
+        raise ConfigError(f"family {name!r}: 'template' must be a list "
+                          f"of expressions")
 
     def schedule(n):
         if schedule_map is not None:
@@ -115,7 +127,8 @@ def _custom_family(ctx, name, entry, bindings) -> TowerFamily:
                 raise ConfigError(f"family {name!r} has no stage {n}")
             exprs = schedule_map.get(n, schedule_map.get(str(n)))
         else:
-            exprs = [t.replace("$n", str(n)) for t in template] if n else []
+            exprs = ([str(t).replace("$n", str(n)) for t in template]
+                     if n else [])
         return [parse_element(ctx, str(e), bindings) for e in exprs]
 
     return TowerFamily(name, ctx, schedule, max_stage,

@@ -46,12 +46,15 @@ def rbase_extract(K: Subfield) -> RBase:
     Walks the generators in order, keeping those outside the span of
     k(K^p) and the elements already kept; the incomplete-r-base theorem
     guarantees the result is an r-base, and its size is checked against
-    log_p [K : k(K^p)].
+    log_p [K : k(K^p)].  The walk stops once the span reaches K's degree:
+    a subfield of K with K's degree is K.
     """
     current = K.frobenius_image(1)
     expected = K.degree_log - current.degree_log
     kept = []
     for g in K.gens:
+        if current.degree_log == K.degree_log:
+            break
         nxt = current.adjoin(g)
         if nxt is not current:
             kept.append(g)
@@ -66,7 +69,9 @@ def rbase_complete(K: Subfield, B, G) -> RBase:
     """Complete the r-free family B to an r-base of K/k using members of G.
 
     B must be r-free over k(K^p), which is verified by the degree test
-    [k(K^p)(B) : k(K^p)] = p^|B|; G must generate K over k(K^p).
+    [k(K^p)(B) : k(K^p)] = p^|B|; G must generate K over k(K^p).  B and
+    G must lie in K, so the completion stops once the span reaches K's
+    degree.
     """
     B = tuple(B)
     G = tuple(G)
@@ -78,6 +83,8 @@ def rbase_complete(K: Subfield, B, G) -> RBase:
         raise ValueError("B is not r-free over k(K^p) (degree test failed)")
     added = []
     for g in G:
+        if current.degree_log == K.degree_log:
+            break
         nxt = current.adjoin(g)
         if nxt is not current:
             added.append(g)
@@ -99,7 +106,9 @@ def canonical_rbase(K: Subfield, base: Subfield = None) -> RBase:
     The resulting exponent list (o_1(K/base), o_2(K/base), ...) is
     independent of the choices; it is non-increasing by construction of
     the greedy maximum.  With `base` given, the exponents are those of
-    the extension base(K)/base (K's generators must generate it).
+    the extension base(K)/base (K's generators must generate it).  The
+    rounds stop once the degree reaches the target, so no round is spent
+    finding every generator already inside.
     """
     if base is None and "canonical_rbase" in K._cache:
         return K._cache["canonical_rbase"]
@@ -108,7 +117,7 @@ def canonical_rbase(K: Subfield, base: Subfield = None) -> RBase:
         current.compositum(K).degree_log
     elements = []
     exponents = []
-    while True:
+    while current.degree_log < target_log:
         best_e = 0
         best_g = None
         for g in K.gens:

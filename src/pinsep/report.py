@@ -55,7 +55,14 @@ def invariant_report(K: Subfield, name=None, oracle=False,
 
 
 def oracle_checks(K: Subfield, base=None) -> dict:
-    """Independent re-derivations; raises on disagreement (CI profile)."""
+    """Independent re-derivations; raises on disagreement (CI profile).
+
+    Bases are built on first use, so a report may read only the degree
+    of K and of its Frobenius images.  Here K's basis is built first and
+    each cached image's basis last, so the insert check of every
+    adjunction behind them runs.
+    """
+    K.basis_vectors()
     base = base or inv.canonical_rbase(K)
     by_di = [inv.exponents_by_di(K, s) for s in range(1, len(base) + 2)]
     greedy = list(base.exponents) + [0]
@@ -64,6 +71,9 @@ def oracle_checks(K: Subfield, base=None) -> dict:
             f"exponent computations disagree: greedy {greedy}, by-di {by_di}")
     if not inv.di_decomposition_check(K):
         raise inv.InternalInconsistency("di decomposition check failed")
+    for field in K._cache.values():
+        if isinstance(field, Subfield):
+            field.basis_vectors()
     return {
         "exponents_by_di": by_di,
         "di_decomposition": True,

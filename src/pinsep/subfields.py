@@ -11,8 +11,10 @@ exactly o_1(K/k).
 
 Construction follows the tower law: adjoining e to K multiplies the degree
 by p^o(e/K), and the products of K's basis with 1, e, ..., e^(p^o - 1)
-are a k-basis of K(e), so every Subfield is an honest field.  Bases are
-computed once and never change; each field memoizes its Frobenius images
+are a k-basis of K(e), so every Subfield is an honest field.  A field's
+degree is known from the tower law as soon as it is constructed; its
+basis is built on first use, checked to have exactly that dimension, and
+never changes afterwards.  Each field memoizes its Frobenius images
 k(K^(p^j)) and its canonical r-base, so each is built at most once.
 """
 
@@ -118,15 +120,28 @@ def _log_p(n: int, p: int) -> int:
 class Subfield:
     """A finitely generated purely inseparable extension K/k, with basis."""
 
-    def __init__(self, ctx, level, gens, echelon, *, _private=None):
+    def __init__(self, ctx, level, gens, degree_log, build, *, _private=None):
         if _private is not _TOKEN:
             raise TypeError("use Subfield.span or the derived operations")
         self.ctx = ctx
         self.level = level
         self.gens = tuple(gens)
-        self._echelon = echelon
-        self.degree_log = _log_p(len(echelon), ctx.p)
+        self.degree_log = degree_log
+        self._build = build         # () -> Echelon; dropped once run
+        self._basis = None
         self._cache = {}
+
+    @property
+    def _echelon(self) -> Echelon:
+        """The reduced k-basis, built on first access and then kept."""
+        if self._basis is None:
+            ech = self._build()
+            if len(ech) != self.degree:
+                raise InternalInconsistency(
+                    f"built a basis of {len(ech)} rows for a field of "
+                    f"degree {self.ctx.p}^{self.degree_log}")
+            self._basis, self._build = ech, None
+        return self._basis
 
     # -- constructors ------------------------------------------------
 
@@ -134,7 +149,7 @@ class Subfield:
     def base(cls, ctx: Context) -> "Subfield":
         ech = Echelon()
         ech.insert({(0,) * ctx.nvars: RatFunc.one(ctx.p, ctx.nvars)})
-        return cls(ctx, 0, (), ech, _private=_TOKEN)
+        return cls(ctx, 0, (), 0, lambda: ech, _private=_TOKEN)
 
     @classmethod
     def span(cls, ctx: Context, gens) -> "Subfield":
@@ -143,7 +158,8 @@ class Subfield:
         gens = tuple(gens)
         for g in gens:
             field = field.adjoin(g)
-        return cls(field.ctx, field.level, gens, field._echelon, _private=_TOKEN)
+        return cls(field.ctx, field.level, gens, field.degree_log,
+                   lambda: field._echelon, _private=_TOKEN)
 
     def adjoin(self, e: PerfElem) -> "Subfield":
         """K(e) by the tower law [K(e) : K] = p^r with r = o(e/K)."""
@@ -153,29 +169,36 @@ class Subfield:
         """K(e) for a caller that already knows r = o(e/K).
 
         The caller must pass exactly o(e/K), computed on this same field.
-        1, e, ..., e^(p^r - 1) is a K-basis of K(e), so the products b*e^l
-        of the K-basis b with 0 <= l < p^r form a k-basis: each one must
-        grow the span.  That check catches an r that is too large; an r
-        that is too small goes undetected and yields a proper subspace of
-        K(e), not a field.
+        The degree of K(e) is then [K : k] * p^r; the basis is built when
+        it is first needed.  1, e, ..., e^(p^r - 1) is a K-basis of K(e),
+        so the products b*e^l of the K-basis b with 0 <= l < p^r form a
+        k-basis, and the build checks that each one grows the span.  That
+        check catches an r that is too large when the basis is built; an
+        r that is too small goes undetected and yields a proper subspace
+        of K(e), not a field.
         """
         if r == 0:
             return self
         ctx = self.ctx
         m = max(self.level, e.level)
         ctx.check_level(m)
-        gvec = to_vector(e, m)
-        ech = Echelon()
-        layer = self.basis_vectors(m)
-        for l in range(ctx.p ** r):
-            if l:
-                layer = [vec_mul(ctx, m, v, gvec) for v in layer]
-            for v in layer:
-                if not ech.insert(v):
-                    raise InternalInconsistency(
-                        f"adjoin: product by e^{l} fell in the span, "
-                        f"against [K(e) : K] = {ctx.p}^{r}")
-        return Subfield(ctx, m, self.gens + (e,), ech, _private=_TOKEN)
+
+        def build():
+            gvec = to_vector(e, m)
+            ech = Echelon()
+            layer = self.basis_vectors(m)
+            for l in range(ctx.p ** r):
+                if l:
+                    layer = [vec_mul(ctx, m, v, gvec) for v in layer]
+                for v in layer:
+                    if not ech.insert(v):
+                        raise InternalInconsistency(
+                            f"adjoin: product by e^{l} fell in the span, "
+                            f"against [K(e) : K] = {ctx.p}^{r}")
+            return ech
+
+        return Subfield(ctx, m, self.gens + (e,), self.degree_log + r, build,
+                        _private=_TOKEN)
 
     @classmethod
     def _from_vectors(cls, ctx, level, vecs) -> "Subfield":
@@ -185,7 +208,8 @@ class Subfield:
         ech = Echelon()
         for e in elems:
             ech.insert(to_vector(e, m))
-        return cls(ctx, m, elems, ech, _private=_TOKEN)
+        return cls(ctx, m, elems, _log_p(len(ech), ctx.p), lambda: ech,
+                   _private=_TOKEN)
 
     # -- basic queries ------------------------------------------------
 

@@ -112,6 +112,15 @@ def test_malformed_config_is_parse_error(tmp_path):
     rc, out, err = run_cli("--context", str(path), "parity", "3")
     assert rc == 2 and out == ""
     assert err.startswith("error[parse]:") and "'fields'" in err
+    for entry, key in [("schedule: 3", "'schedule'"),
+                       ("template: 5", "'template'"),
+                       ("max_stage: [3]", "'max_stage'"),
+                       ("schedule: {1: 5}", "'schedule'")]:
+        path.write_text(f"p: 2\nvariables: [X]\n"
+                        f"families:\n  F: {{{entry}}}\n")
+        rc, out, err = run_cli("--context", str(path), "invariants", "F")
+        assert rc == 2 and out == "", (entry, err)
+        assert err.startswith("error[parse]:") and key in err, (entry, err)
 
 
 def test_invariants_from_config(config_path):

@@ -8,8 +8,9 @@ import pytest
 
 from pinsep import invariants as inv, report
 from pinsep.exprs import parse_element
+from pinsep.linalg import Echelon
 from pinsep.perfect import Context
-from pinsep.subfields import Subfield
+from pinsep.subfields import InternalInconsistency, Subfield
 from pinsep.towers import family
 
 from conftest import fields_equal, random_field
@@ -143,12 +144,20 @@ def test_canonical_rbase_tensor(ctx):
     assert inv.canonical_rbase(K).exponents == (1, 1)
 
 
+def three_gens(ctx):
+    """X^(1/4), Y^(1/2) and X^(1/2)*Y^(1/2), which lies in the span of
+    the first two: degree 2^3, exponents (2, 1)."""
+    xy = ctx.root_of_variable("X", 1) * ctx.root_of_variable("Y", 1)
+    return roots(ctx, [("X", 2), ("Y", 1)]) + [xy]
+
+
 def test_canonical_rbase_scans_each_generator_once_per_round(ctx,
                                                             monkeypatch):
-    """o(g/current) is computed |gens| times per greedy round, di + 1
-    rounds in all; adjoining the chosen generator reuses its exponent."""
-    xy = ctx.root_of_variable("X", 1) * ctx.root_of_variable("Y", 1)
-    K = Subfield.span(ctx, roots(ctx, [("X", 2), ("Y", 1)]) + [xy])
+    """o(g/current) is computed |gens| times per greedy round, di rounds
+    in all: the rounds stop once the degree reaches [K : k], with no
+    round that finds every generator inside.  Adjoining the chosen
+    generator reuses its exponent."""
+    K = Subfield.span(ctx, three_gens(ctx))
     d = inv.di(K)
     calls = []
     real = Subfield.rel_exponent
@@ -156,7 +165,41 @@ def test_canonical_rbase_scans_each_generator_once_per_round(ctx,
                         lambda self, a: calls.append(a) or real(self, a))
     B = inv.canonical_rbase(K)
     assert (d, B.exponents) == (2, (2, 1))
-    assert len(calls) == len(K.gens) * (d + 1)
+    assert len(calls) == len(K.gens) * d
+
+
+def test_bases_are_built_on_first_use(ctx, monkeypatch):
+    """Echelon inserts behind span, canonical_rbase and di.  The span
+    builds every field it asks a membership question of (here all of
+    them, as the last generator is a member); canonical_rbase builds its
+    fields of degree 2^0 and 2^2 (1 + 4 inserts) but not the last one of
+    degree 2^3, and di builds k(K^2) of degree 2^1 (1 + 2 inserts)."""
+    calls = []
+    real = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert",
+                        lambda self, v: calls.append(v) or real(self, v))
+    K = Subfield.span(ctx, three_gens(ctx))
+    assert len(calls) == 1 + 4 + 8
+    inv.canonical_rbase(K)
+    assert len(calls) == 13 + 5
+    assert inv.di(K) == 2
+    assert len(calls) == 18 + 3
+
+
+def test_oracle_builds_what_the_report_only_counted(ctx, monkeypatch):
+    """An overstated o(e/K) is caught by the insert check once the basis
+    is built, and the oracle builds K's basis before anything else.  The
+    last generator is already inside; saying o = 1 makes a field of
+    claimed degree 2^4 that the span leaves unbuilt."""
+    gens = three_gens(ctx)
+    real = Subfield.rel_exponent
+    with monkeypatch.context() as mp:
+        mp.setattr(Subfield, "rel_exponent",
+                   lambda self, a: real(self, a) + (a is gens[-1]))
+        K = Subfield.span(ctx, gens)
+    assert K.degree_log == 4
+    with pytest.raises(InternalInconsistency, match="fell in the span"):
+        report.oracle_checks(K)
 
 
 def test_exponent_list_invariance(ctx, small_corpus):

@@ -255,7 +255,11 @@ def test_rel_exponent_examples(ctx):
 
 
 def test_adjoin_follows_tower_law(small_corpus):
-    """[K(e) : K] = p^o(e/K), against the rank of all products b*e^l."""
+    """[K(e) : K] = p^o(e/K), against the rank of all products b*e^l.
+
+    The degree is read before the basis of K(e) is built; the basis
+    built afterwards has exactly that many rows.
+    """
     rng = random.Random(7)
     checked = 0
     for K in small_corpus:
@@ -264,8 +268,8 @@ def test_adjoin_follows_tower_law(small_corpus):
         for _ in range(3):
             e = random_element(K.ctx, rng, max_level=2, max_terms=2)
             KE = K.adjoin(e)
-            assert KE.degree_log == K.degree_log + K.rel_exponent(e)
-            assert all(KE.member(g) for g in K.gens) and KE.member(e)
+            degree_log = KE.degree_log
+            assert degree_log == K.degree_log + K.rel_exponent(e)
             m = max(K.level, e.level)
             gvec = to_vector(e, m)
             prods = []
@@ -273,20 +277,24 @@ def test_adjoin_follows_tower_law(small_corpus):
                 for _l in range(K.ctx.p ** e.level):
                     prods.append(b)
                     b = vec_mul(K.ctx, m, b, gvec)
-            assert KE.degree == rank(prods)
+            dim = rank(prods)
+            assert K.ctx.p ** degree_log == dim
+            assert len(KE.basis_vectors()) == dim
+            assert all(KE.member(g) for g in K.gens) and KE.member(e)
             checked += 1
     assert checked >= 20
 
 
 def test_adjoin_checks_tower_law(ctx, monkeypatch):
-    """An overstated o(e/K) makes a product fall in the span: adjoin raises."""
+    """An overstated o(e/K) makes a product fall in the span: building
+    the basis of K(e) raises."""
     K = Subfield.span(ctx, roots(ctx, [("X", 1)]))
     e = ctx.root_of_variable("Y", 1)
     real = Subfield.rel_exponent
     monkeypatch.setattr(Subfield, "rel_exponent",
                         lambda self, a: real(self, a) + 1)
-    with pytest.raises(InternalInconsistency):
-        K.adjoin(e)
+    with pytest.raises(InternalInconsistency, match="fell in the span"):
+        K.adjoin(e).basis_vectors()
 
 
 def test_degree_over_lifted_base(ctx):
