@@ -11,9 +11,13 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from pinsep.cli import main
+ROOT = Path(__file__).resolve().parent.parent
+# the checkout's sources, ahead of any installed copy
+sys.path.insert(0, str(ROOT / "src"))
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+from pinsep.cli import main  # noqa: E402
+
+GOLDEN = ROOT / "tests" / "golden"
 
 REPORTS = {
     "invariants_nonmodular_basic.json":

@@ -8,10 +8,13 @@ This is the one-stop reproduction driver for the worked examples:
 
 import argparse
 import sys
+from pathlib import Path
 
-from pinsep import invariants as inv
-from pinsep import report as rpt
-from pinsep.towers import family
+# the checkout's sources, ahead of any installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from pinsep import report as rpt  # noqa: E402
+from pinsep.towers import family  # noqa: E402
 
 SURVEY = [
     ("nonmodular_basic", {}, None),

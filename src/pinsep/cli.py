@@ -20,7 +20,7 @@ from pathlib import Path
 import yaml
 
 from . import report as rpt
-from .exprs import ExprError, parse_element
+from .exprs import ExprError, is_name, parse_element
 from .invariants import HorizonInsufficient, InternalInconsistency, \
     di as inv_di
 from .perfect import CapExceeded, Context
@@ -70,6 +70,10 @@ def load_config(text: str) -> ContextConfig:
     for v in variables:
         if v in RESERVED:
             raise ConfigError(f"variable name {v!r} is reserved")
+        if not is_name(v):
+            raise ConfigError(f"variable name {v!r} is not a name of the "
+                              f"element grammar (a letter or _, then "
+                              f"letters, digits or _)")
     try:
         ctx = Context(p, variables, cap)
     except ValueError as exc:

@@ -28,6 +28,13 @@ class ExprError(ValueError):
         self.pos = pos
 
 
+def is_name(text: str) -> bool:
+    """Whether the grammar reads text as one name token, as it must read
+    every variable name so that rendered elements parse back."""
+    m = _TOKEN.fullmatch(text)
+    return m is not None and m.group(2) == text
+
+
 def tokenize(text: str):
     tokens = []
     i = 0

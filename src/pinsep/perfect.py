@@ -41,6 +41,9 @@ class Context:
             raise ValueError("p must be a prime in {2, 3, 5, 7}")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
+        if self.ambient_cap < 0:
+            raise ValueError(f"the ambient cap must be >= 0, "
+                             f"got {self.ambient_cap}")
         object.__setattr__(self, "variables", tuple(self.variables))
 
     @property

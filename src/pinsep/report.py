@@ -60,7 +60,9 @@ def oracle_checks(K: Subfield, base=None) -> dict:
     Bases are built on first use, so a report may read only the degree
     of K and of its Frobenius images.  Here K's basis is built first and
     each cached image's basis last, so the insert check of every
-    adjunction behind them runs.
+    adjunction behind them runs.  The disjointness test computes k_n
+    only where its Frobenius bounds leave [K : k_n] open; here every
+    k_n with 1 <= n < o_1(K/k) is computed and checked against them.
     """
     K.basis_vectors()
     base = base or inv.canonical_rbase(K)
@@ -71,6 +73,14 @@ def oracle_checks(K: Subfield, base=None) -> dict:
             f"exponent computations disagree: greedy {greedy}, by-di {by_di}")
     if not inv.di_decomposition_check(K):
         raise inv.InternalInconsistency("di decomposition check failed")
+    for n in range(1, K.level):
+        lifted = K.degree_log_over_lifted_base(n)
+        relative = K.degree_log - K.truncation(n).degree_log
+        upper = K.degree_log - K.frobenius_image(K.level - n).degree_log
+        if not lifted <= relative <= upper:
+            raise inv.InternalInconsistency(
+                f"[K : k_{n}] = p^{relative} outside its Frobenius bounds "
+                f"p^{lifted} and p^{upper}")
     for field in K._cache.values():
         if isinstance(field, Subfield):
             field.basis_vectors()

@@ -13,9 +13,15 @@ Construction follows the tower law: adjoining e to K multiplies the degree
 by p^o(e/K), and the products of K's basis with 1, e, ..., e^(p^o - 1)
 are a k-basis of K(e), so every Subfield is an honest field.  A field's
 degree is known from the tower law as soon as it is constructed; its
-basis is built on first use, checked to have exactly that dimension, and
-never changes afterwards.  Each field memoizes its Frobenius images
-k(K^(p^j)) and its canonical r-base, so each is built at most once.
+basis, the base field's one row included, is built on first use, checked
+to have exactly that dimension, and never changes afterwards.  Each field
+memoizes its Frobenius images k(K^(p^j)) and its canonical r-base, so
+each is built at most once.
+
+Questions that levels alone settle never build a basis: an element of
+level 0 lies in k and so in every field, an element above a field's
+level lies outside it, and o(a/K) is at most the level of a, since
+a^(p^level(a)) lies in k.
 """
 
 from __future__ import annotations
@@ -147,9 +153,14 @@ class Subfield:
 
     @classmethod
     def base(cls, ctx: Context) -> "Subfield":
-        ech = Echelon()
-        ech.insert({(0,) * ctx.nvars: RatFunc.one(ctx.p, ctx.nvars)})
-        return cls(ctx, 0, (), 0, lambda: ech, _private=_TOKEN)
+        """k itself; its one-row basis {1} is built on first use."""
+
+        def build():
+            ech = Echelon()
+            ech.insert({(0,) * ctx.nvars: RatFunc.one(ctx.p, ctx.nvars)})
+            return ech
+
+        return cls(ctx, 0, (), 0, build, _private=_TOKEN)
 
     @classmethod
     def span(cls, ctx: Context, gens) -> "Subfield":
@@ -233,8 +244,13 @@ class Subfield:
                 for v in self._echelon.basis_rows()]
 
     def member(self, e: PerfElem) -> bool:
+        """Whether e lies in K.  Levels settle two cases without a basis:
+        an element of level 0 lies in k, which K contains, and one above
+        K's level lies outside K ⊆ A_level."""
         if e.ctx != self.ctx:
             raise ValueError("element from a different context")
+        if e.level == 0:
+            return True
         if e.level > self.level:
             return False
         return self._echelon.member(to_vector(e, self.level))
@@ -333,11 +349,15 @@ class Subfield:
                 == self.degree_log + other.degree_log)
 
     def rel_exponent(self, a: PerfElem) -> int:
-        """o(a/K): least j with a^(p^j) in K (bounded by the level of a)."""
-        for j in range(a.level + 1):
+        """o(a/K): least j with a^(p^j) in K.
+
+        a^(p^level(a)) lies in k and so in K, so only j < level(a) is
+        tested; when none of them gives a member, o(a/K) = level(a).
+        """
+        for j in range(a.level):
             if self.member(a.frob(j)):
                 return j
-        raise InternalInconsistency("element escaped its own level bound")
+        return a.level
 
     def degree_log_over_lifted_base(self, n: int) -> int:
         """log_p [A_n(K) : A_n] with A_n = k^(1/p^n), read as [k(K^(p^n)) : k].

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from pinsep.perfect import Context
 from pinsep.subfields import Subfield
@@ -44,6 +45,11 @@ def random_field(rng, p=None):
     if K.degree_log == 0:
         return None
     return K
+
+
+# Hypothesis strategy: the fields random_field draws, rejections skipped.
+random_fields = st.builds(random_field, st.randoms(use_true_random=False)
+                          ).filter(lambda K: K is not None)
 
 
 def field_corpus(seed, count):

@@ -123,6 +123,20 @@ def test_malformed_config_is_parse_error(tmp_path):
         assert err.startswith("error[parse]:") and key in err, (entry, err)
 
 
+@pytest.mark.parametrize("doc,key", [
+    ("p: 2\nvariables: [X]\nambient_cap: -1\n", "ambient cap must be >= 0"),
+    ('p: 2\nvariables: [X, "X Y"]\n', "variable name 'X Y'"),
+], ids=["negative_cap", "unreadable_name"])
+def test_unusable_context_is_parse_error(tmp_path, doc, key):
+    """A negative ambient cap, and a variable name that rendered elements
+    could not be parsed back with, are refused as the context loads."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(doc + "fields:\n  K: [X]\n")
+    rc, out, err = run_cli("--context", str(path), "invariants", "K")
+    assert rc == 2 and out == "", err
+    assert err.startswith("error[parse]:") and key in err, err
+
+
 def test_invariants_from_config(config_path):
     rc, out, err = run_cli("--context", config_path, "--json",
                            "invariants", "K")
@@ -474,8 +488,10 @@ def test_context_file_is_closed(config_path):
 
 
 def test_family_survey_script():
+    """The script runs from a plain checkout, on the checkout's sources."""
     script = Path(__file__).parent.parent / "scripts" / "run_families.py"
-    proc = subprocess.run([sys.executable, str(script)],
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(script)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from pinsep import invariants as inv, report
 from pinsep.exprs import parse_element
@@ -13,7 +14,7 @@ from pinsep.perfect import Context
 from pinsep.subfields import InternalInconsistency, Subfield
 from pinsep.towers import family
 
-from conftest import fields_equal, random_field
+from conftest import fields_equal, random_field, random_fields
 
 
 @pytest.fixture
@@ -169,11 +170,13 @@ def test_canonical_rbase_scans_each_generator_once_per_round(ctx,
 
 
 def test_bases_are_built_on_first_use(ctx, monkeypatch):
-    """Echelon inserts behind span, canonical_rbase and di.  The span
-    builds every field it asks a membership question of (here all of
-    them, as the last generator is a member); canonical_rbase builds its
-    fields of degree 2^0 and 2^2 (1 + 4 inserts) but not the last one of
-    degree 2^3, and di builds k(K^2) of degree 2^1 (1 + 2 inserts)."""
+    """Echelon inserts behind span, canonical_rbase and di.  A field's
+    basis is built when a generator of level >= 1 and at most its level
+    is tested as a member.  The span builds k(X^(1/4)) (k's row, then 4)
+    and k(X^(1/4), Y^(1/2)) (8) but not K; canonical_rbase builds its own
+    k(X^(1/4)) (1 + 4) but not the last field of degree 2^3; and di builds
+    nothing, as k(K^2) = k(X^(1/2), Y, XY) only asks about X^(1/2),
+    which lies above k's level, and about Y and XY, which lie in k."""
     calls = []
     real = Echelon.insert
     monkeypatch.setattr(Echelon, "insert",
@@ -183,7 +186,7 @@ def test_bases_are_built_on_first_use(ctx, monkeypatch):
     inv.canonical_rbase(K)
     assert len(calls) == 13 + 5
     assert inv.di(K) == 2
-    assert len(calls) == 18 + 3
+    assert len(calls) == 18
 
 
 def test_oracle_builds_what_the_report_only_counted(ctx, monkeypatch):
@@ -408,6 +411,75 @@ def test_modular_methods_agree(small_corpus):
         assert v_c == v_d
 
 
+def modular_by_every_truncation(K):
+    """The disjointness test computing k_n at every n, without bounds."""
+    for n in range(1, K.level + 1):
+        lifted = K.degree_log_over_lifted_base(n)
+        relative = K.degree_log - K.truncation(n).degree_log
+        if lifted != relative:
+            witness = {
+                "method": "disjointness",
+                "n": n,
+                "reason": (f"[k^(1/p^{n})(K) : k^(1/p^{n})] = p^{lifted} "
+                           f"but [K : k_{n}] = p^{relative}"),
+            }
+            return False, witness
+    return True, None
+
+
+def check_disjointness_bounds(K):
+    """lifted <= log_p [K : k_n] <= upper at every n, and the bounded
+    test gives the verdict and witness of the unbounded one."""
+    for n in range(1, K.level + 1):
+        lifted = K.degree_log_over_lifted_base(n)
+        relative = K.degree_log - K.truncation(n).degree_log
+        upper = K.degree_log - K.frobenius_image(K.level - n).degree_log
+        assert lifted <= relative <= upper, (K, n)
+    assert (inv.is_modular(K, "disjointness")
+            == modular_by_every_truncation(K)), K
+
+
+def test_disjointness_bounds(small_corpus):
+    for K in small_corpus:
+        check_disjointness_bounds(K)
+
+
+@given(random_fields)
+@settings(max_examples=25, deadline=None)
+def test_disjointness_bounds_random(K):
+    check_disjointness_bounds(K)
+
+
+def count_truncations(monkeypatch):
+    calls = []
+    real = Subfield.truncation
+    monkeypatch.setattr(Subfield, "truncation",
+                        lambda self, n: calls.append(n) or real(self, n))
+    return calls
+
+
+def test_disjointness_bounds_skip_truncation(ctx, monkeypatch):
+    """k(X^(1/4)): at n = 1 both bounds read [K : k(X^(1/2))] = p, at
+    n = 2 both read 1, so no k_n is computed."""
+    calls = count_truncations(monkeypatch)
+    K = Subfield.span(ctx, roots(ctx, [("X", 2)]))
+    assert inv.is_modular(K, "disjointness") == (True, None)
+    assert calls == []
+
+
+def test_disjointness_open_bound_computes_truncation(monkeypatch):
+    """nonmodular_basic: at n = 1, [k^(1/p)(K) : k^(1/p)] = p but
+    [K : k(K^p)] = p^2, so k_1 is computed, and it gives the witness."""
+    calls = count_truncations(monkeypatch)
+    K = family("nonmodular_basic").stage(1)
+    assert inv.is_modular(K, "disjointness") == (False, {
+        "method": "disjointness",
+        "n": 1,
+        "reason": "[k^(1/p^1)(K) : k^(1/p^1)] = p^1 but [K : k_1] = p^2",
+    })
+    assert calls == [1]
+
+
 def test_modular_bad_method(ctx):
     with pytest.raises(ValueError):
         inv.is_modular(section5(ctx), "magic")
@@ -594,17 +666,38 @@ def test_truncation_formula_horizon_error():
         inv.truncation_formula_check(fam, 0, 5)   # lpi(5) = 3 > n_max
 
 
+def modular_rbase_truncation_check(K, B):
+    """Check the truncation formula for a modular r-base B of K/k.
+
+    With n_a = o(a/k), B_1 = {a : n_a > j} and B_2 = B \\ B_1, the j-th
+    truncation must equal k((a^(p^(n_a - j)))_{a in B_1}, B_2) for every
+    j < o_1(K/k).  B must be modular: the tensor degree test
+    sum n_a = log_p [K : k] is verified first.
+    """
+    levels = [a.level for a in B.elements]
+    if sum(levels) != K.degree_log:
+        raise ValueError("B is not a modular r-base (tensor degree test failed)")
+    o1 = max(levels, default=0)
+    for j in range(o1):
+        predicted = []
+        for a, n_a in zip(B.elements, levels):
+            predicted.append(a.frob(n_a - j) if n_a > j else a)
+        if Subfield.span(K.ctx, predicted) != K.truncation(j):
+            return False
+    return True
+
+
 def test_modular_rbase_truncation_thm(ctx):
     # k(X^(1/4), Y^(1/2)): k_1 = k(X^(1/2), Y^(1/2))
     K = Subfield.span(ctx, roots(ctx, [("X", 2), ("Y", 1)]))
     B = inv.canonical_rbase(K)
-    assert inv.modular_rbase_truncation_check(K, B)
+    assert modular_rbase_truncation_check(K, B)
     # equiexponential: truncation at the exponent is K itself
     K2 = Subfield.span(ctx, roots(ctx, [("X", 2), ("Y", 2)]))
-    assert inv.modular_rbase_truncation_check(K2, inv.canonical_rbase(K2))
+    assert modular_rbase_truncation_check(K2, inv.canonical_rbase(K2))
 
 
 def test_modular_rbase_truncation_rejects_nonmodular(ctx):
     K = section5(ctx)
     with pytest.raises(ValueError):
-        inv.modular_rbase_truncation_check(K, inv.canonical_rbase(K))
+        modular_rbase_truncation_check(K, inv.canonical_rbase(K))

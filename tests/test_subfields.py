@@ -4,6 +4,7 @@ Frobenius images, truncations, linear disjointness, relative exponents."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinsep.linalg import Echelon, rank
 from pinsep.perfect import Context
@@ -11,7 +12,8 @@ from pinsep.polynomials import RatFunc
 from pinsep.subfields import (InternalInconsistency, Subfield, _log_p,
                               to_vector, vec_mul)
 
-from conftest import fields_equal, random_element, random_field
+from conftest import (fields_equal, random_element, random_field,
+                      random_fields)
 
 
 @pytest.fixture
@@ -252,6 +254,55 @@ def test_rel_exponent_examples(ctx):
     assert Subfield.span(ctx, ()).rel_exponent(ctx.root_of_variable("X", 3)) == 3
     L = Subfield.span(ctx, roots(ctx, [("X", 1)]))
     assert L.rel_exponent(ctx.root_of_variable("X", 2)) == 1
+
+
+def member_by_basis(K, e):
+    """Membership read off K's basis, with no shortcut by level."""
+    return e.level <= K.level and K._echelon.member(to_vector(e, K.level))
+
+
+def rel_exponent_by_scan(K, a):
+    """o(a/K) by testing a^(p^j) on K's basis for every j <= level(a)."""
+    return next(j for j in range(a.level + 1)
+                if member_by_basis(K, a.frob(j)))
+
+
+def check_level_shortcuts(K, rng):
+    """member and rel_exponent against the basis routes, on K's
+    generators, their Frobenius powers down to k, elements of k and
+    random elements of levels up to 2."""
+    ctx = K.ctx
+    probes = [ctx.zero(), ctx.one()]
+    for g in K.gens:
+        probes += [g.frob(j) for j in range(g.level + 1)]
+    probes += [random_element(ctx, rng, max_level=0, max_terms=2)
+               for _ in range(2)]
+    probes += [random_element(ctx, rng, max_level=2, max_terms=2)
+               for _ in range(4)]
+    for e in probes:
+        assert K.member(e) == member_by_basis(K, e), e
+        assert K.rel_exponent(e) == rel_exponent_by_scan(K, e), e
+
+
+def test_level_shortcuts_match_basis_routes(small_corpus):
+    rng = random.Random(808)
+    for K in small_corpus:
+        check_level_shortcuts(K, rng)
+
+
+@given(random_fields, st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_level_shortcuts_match_basis_routes_random(K, rng):
+    check_level_shortcuts(K, rng)
+
+
+def test_level_zero_member_builds_no_basis(ctx):
+    """An element of k is in every field; answering builds no basis."""
+    K = Subfield.span(ctx, roots(ctx, [("X", 2), ("Y", 1)]))
+    assert K.member(ctx.variable("X") * ctx.variable("Y") + ctx.one())
+    assert K._basis is None
+    k = Subfield.base(ctx)
+    assert k.member(ctx.variable("Z")) and k._basis is None
 
 
 def test_adjoin_follows_tower_law(small_corpus):
