@@ -6,6 +6,7 @@ Run after an intentional schema or output change, then review the diff:
     python scripts/make_goldens.py
 """
 
+import argparse
 import io
 import sys
 from contextlib import redirect_stdout
@@ -36,7 +37,10 @@ REPORTS = {
 }
 
 
-def run():
+def run(argv=None):
+    argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, args in REPORTS.items():
         buf = io.StringIO()

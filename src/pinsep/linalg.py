@@ -47,7 +47,7 @@ class Echelon:
 
     pivot_ok, when given, restricts which columns may serve as pivots;
     rows whose support shrinks to non-pivotable columns are collected in
-    self.defective (used for nullspace and intersection computations).
+    self.defective (read by nullspace, solve, intersect_spans, truncation).
     """
 
     def __init__(self, pivot_ok=None):
@@ -70,7 +70,9 @@ class Echelon:
         return dict(v)
 
     def insert(self, v: dict) -> bool:
-        """Reduce v and add it to the basis; True iff the span grew."""
+        """Reduce v and add it to the basis; True iff the span grew.  A
+        defective row holds only columns that pivot_ok rejects, so it never
+        holds the new pivot and is left as it is."""
         r = self.reduce(v)
         if not r:
             return False
@@ -86,10 +88,6 @@ class Echelon:
             c = row.get(piv)
             if c is not None:
                 self.rows[pk] = vec_add_scaled(row, r, -c)
-        for i, row in enumerate(self.defective):
-            c = row.get(piv)
-            if c is not None:
-                self.defective[i] = vec_add_scaled(row, r, -c)
         self.rows[piv] = r
         return True
 

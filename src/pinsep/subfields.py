@@ -26,7 +26,7 @@ a^(p^level(a)) lies in k.
 
 from __future__ import annotations
 
-from .linalg import Echelon, intersect_spans, nullspace, vec_add_scaled
+from .linalg import Echelon, intersect_spans
 from .perfect import Context, PerfElem
 from .polynomials import MultiPoly, RatFunc
 
@@ -213,13 +213,18 @@ class Subfield:
 
     @classmethod
     def _from_vectors(cls, ctx, level, vecs) -> "Subfield":
-        """Internal: wrap vectors known to span a field (no re-closing)."""
-        elems = tuple(from_vector(ctx, v, level) for v in vecs)
-        m = max((e.level for e in elems), default=0)
+        """Internal: wrap level-`level` vectors known to span a field, at the
+        least level that holds them all (no re-closing).  The generators
+        are the rows of the field's reduced basis, in pivot order."""
+        m = next(m for m in range(level + 1)
+                 if not any(x % ctx.p ** (level - m)
+                            for v in vecs for e in v for x in e))
+        factor = ctx.p ** (level - m)
         ech = Echelon()
-        for e in elems:
-            ech.insert(to_vector(e, m))
-        return cls(ctx, m, elems, _log_p(len(ech), ctx.p), lambda: ech,
+        for v in vecs:
+            ech.insert({tuple(x // factor for x in e): c for e, c in v.items()})
+        gens = tuple(from_vector(ctx, r, m) for r in ech.basis_rows())
+        return cls(ctx, m, gens, _log_p(len(ech), ctx.p), lambda: ech,
                    _private=_TOKEN)
 
     # -- basic queries ------------------------------------------------
@@ -306,31 +311,28 @@ class Subfield:
         return Subfield.span(self.ctx, roots + tuple(g.frob(-n) for g in self.gens))
 
     def truncation(self, n: int) -> "Subfield":
-        """k_n = K ∩ A_n, cut out by vanishing of coordinates outside A_n."""
+        """k_n = K ∩ A_n, read off the rows of K pivoted inside A_n.
+
+        Each row of K's reduced basis is 1 at its own pivot and 0 at the
+        other rows' pivots, so an element of K ∩ A_n, being 0 at every
+        pivot outside A_n, is a combination of the rows pivoted inside
+        A_n.  Those rows go into an echelon that pivots only outside A_n;
+        the rows it leaves defective are a basis of k_n.
+        """
         if n < 0:
             raise ValueError("truncation level must be nonnegative")
         if n >= self.level:
             return self
-        p = self.ctx.p
-        step = p ** (self.level - n)
-        rows = self._echelon.basis_rows()
-        bad = sorted({e for r in rows for e in r if any(x % step for x in e)})
-        eqs = []
-        for key in bad:
-            eq = {}
-            for i, r in enumerate(rows):
-                c = r.get(key)
-                if c is not None:
-                    eq[i] = c
-            eqs.append(eq)
-        combos = nullspace(eqs, len(rows), p, self.ctx.nvars)
-        vecs = []
-        for lam in combos:
-            v: dict = {}
-            for i, c in lam.items():
-                v = vec_add_scaled(v, rows[i], c)
-            vecs.append(v)
-        field = Subfield._from_vectors(self.ctx, self.level, vecs)
+        step = self.ctx.p ** (self.level - n)
+
+        def outside(e):
+            return any(x % step for x in e)
+
+        ech = Echelon(pivot_ok=outside)
+        for piv, row in sorted(self._echelon.rows.items()):
+            if not outside(piv):
+                ech.insert(row)
+        field = Subfield._from_vectors(self.ctx, self.level, ech.defective)
         if field.level > n:
             raise InternalInconsistency("truncation left elements above the cut")
         return field

@@ -498,6 +498,22 @@ def test_family_survey_script():
     assert "all documented claims hold" in proc.stdout
 
 
+def test_make_goldens_help_writes_nothing():
+    """--help prints usage and leaves every golden file untouched."""
+    def snapshot():
+        return {f.name: (f.read_bytes(), f.stat().st_mtime_ns)
+                for f in sorted(GOLDEN.iterdir())}
+
+    before = snapshot()
+    proc = subprocess.run(
+        [sys.executable, str(SRC.parent / "scripts" / "make_goldens.py"),
+         "--help"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
+    assert "wrote" not in proc.stdout
+    assert snapshot() == before
+
+
 @pytest.mark.parametrize("name,args", list(make_goldens.REPORTS.items()))
 def test_golden_reports(name, args):
     """Built-in reports are byte-stable against the checked-in files."""

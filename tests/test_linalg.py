@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinsep.linalg import (Echelon, InconsistentSystem, intersect_spans,
                            nullspace, rank, solve, vec_add_scaled)
@@ -137,3 +138,23 @@ def test_solve_substitute_residual_zero_randomized():
             residual = vec_add_scaled(residual, col, RatFunc.const(p, 1, -1) * xj)
         assert residual == {}
 
+
+
+@given(st.frozensets(st.integers(0, 5)),
+       st.lists(st.dictionaries(st.integers(0, 5), st.integers(1, 2),
+                                max_size=4), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_defective_rows_hold_no_pivotable_column(accepted, vectors):
+    """After every insert, each defective row lives on rejected columns
+    only (so a new pivot never reaches it), and the basis rows together
+    with the defective rows span exactly what was inserted."""
+    x = x_poly()
+    vecs = [{k: c(v) * x if k % 2 else c(v) for k, v in d.items()}
+            for d in vectors]
+    ech = Echelon(pivot_ok=lambda k: k in accepted)
+    for i, v in enumerate(vecs):
+        ech.insert(v)
+        for row in ech.defective:
+            assert row and not any(k in accepted for k in row)
+        kept = list(ech.rows.values()) + ech.defective
+        assert rank(kept) == rank(vecs[:i + 1]) == rank(kept + vecs[:i + 1])

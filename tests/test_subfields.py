@@ -6,11 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinsep.linalg import Echelon, rank
+from pinsep import linalg, subfields
+from pinsep.linalg import Echelon, nullspace, rank, vec_add_scaled
 from pinsep.perfect import Context
 from pinsep.polynomials import RatFunc
 from pinsep.subfields import (InternalInconsistency, Subfield, _log_p,
-                              to_vector, vec_mul)
+                              from_vector, to_vector, vec_mul)
+from pinsep.towers import family
 
 from conftest import (fields_equal, random_element, random_field,
                       random_fields)
@@ -240,6 +242,91 @@ def test_tower_law_on_truncations(ctx):
         assert L.degree_log <= K.degree_log
         # [K:L] = degree ratio is a nonnegative power of p
         assert K.degree_log - L.degree_log >= 0
+
+
+def truncation_by_nullspace(K, n):
+    """Reference for k_n = K ∩ A_n, independent of K's pivots.
+
+    One equation per column outside A_n asks a combination of all of K's
+    basis rows to vanish there; linalg.nullspace solves the system, and
+    the field is spanned afresh by the combinations it returns.
+    """
+    if n >= K.level:
+        return K
+    step = K.ctx.p ** (K.level - n)
+    rows = K.basis_vectors()
+    bad = sorted({e for r in rows for e in r if any(x % step for x in e)})
+    eqs = [{i: r[e] for i, r in enumerate(rows) if e in r} for e in bad]
+    elems = []
+    for lam in nullspace(eqs, len(rows), K.ctx.p, K.ctx.nvars):
+        v: dict = {}
+        for i, c in lam.items():
+            v = vec_add_scaled(v, rows[i], c)
+        elems.append(from_vector(K.ctx, v, K.level))
+    return Subfield.span(K.ctx, elems)
+
+
+def check_truncations(K, renders=False):
+    for n in range(1, K.level):
+        got, ref = K.truncation(n), truncation_by_nullspace(K, n)
+        assert got == ref, (K, n)
+        if renders:
+            gens = [g.render() for g in got.gens]
+            assert gens == [b.render() for b in ref.basis_elements()], (K, n)
+            assert gens == [b.render() for b in got.basis_elements()], (K, n)
+
+
+def test_truncation_matches_nullspace_route(small_corpus):
+    """k_n from the pivoted rows equals the equation-scan reference, and
+    its generators are k_n's reduced basis in pivot order (exe2's k_2 is
+    one where the defective rows are not that basis)."""
+    stages = [family(name, n=3).stage(3) for name in ("exe1", "exe2", "exe4")]
+    for K in small_corpus + stages:
+        check_truncations(K, renders=True)
+
+
+@given(random_fields)
+@settings(max_examples=25, deadline=None)
+def test_truncation_matches_nullspace_route_random(K):
+    check_truncations(K)
+
+
+def test_truncation_solves_no_nullspace(small_corpus, monkeypatch):
+    calls = []
+    real = linalg.nullspace
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "nullspace", counting)
+    # and any binding of it imported by name into subfields
+    monkeypatch.setattr(subfields, "nullspace", counting, raising=False)
+    fam = family("exe1", n=3)
+    assert all(fam.stage(3).truncation(n) == fam.stage(n) for n in range(3))
+    for L in small_corpus[:8]:
+        for n in range(L.level):
+            L.truncation(n)
+    assert calls == []
+
+
+def test_truncation_inserts_pivoted_rows_once(monkeypatch):
+    """k_1 of exe1 stage 3 costs one insert per row of K pivoted inside
+    A_1 and one per row of k_1's basis, and nothing else."""
+    K = family("exe1", n=3).stage(3)
+    step = K.ctx.p ** (K.level - 1)
+    inside = [e for e in K._echelon.rows if not any(x % step for x in e)]
+    calls = []
+    real = Echelon.insert
+
+    def counting(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(Echelon, "insert", counting)
+    k1 = K.truncation(1)
+    assert len(calls) == len(inside) + k1.degree
+    assert len(inside) < K.degree
 
 
 # ----------------------------------------------------------------------
