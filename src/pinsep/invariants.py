@@ -108,11 +108,14 @@ def canonical_rbase(K: Subfield, base: Subfield = None) -> RBase:
     the greedy maximum.  With `base` given, the exponents are those of
     the extension base(K)/base (K's generators must generate it).  The
     rounds stop once the degree reaches the target, so no round is spent
-    finding every generator already inside.
+    finding every generator already inside.  Without `base`, the walk
+    starts from the k of K's span, whose memoized adjunctions hand back
+    the fields the span already built wherever the greedy order follows
+    the generator order.
     """
     if base is None and "canonical_rbase" in K._cache:
         return K._cache["canonical_rbase"]
-    current = Subfield.base(K.ctx) if base is None else base
+    current = base or K._chain_root or Subfield.base(K.ctx)
     target_log = K.degree_log if base is None else \
         current.compositum(K).degree_log
     elements = []

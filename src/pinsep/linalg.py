@@ -36,18 +36,17 @@ def vec_add_scaled(v: dict, w: dict, c: RatFunc) -> dict:
     return out
 
 
-def vec_scale(v: dict, c: RatFunc) -> dict:
-    if c.is_one():
-        return dict(v)
-    return {k: val * c for k, val in v.items()}
-
-
 class Echelon:
     """Mutable reduced row echelon basis over sparse RatFunc vectors.
 
     pivot_ok, when given, restricts which columns may serve as pivots;
     rows whose support shrinks to non-pivotable columns are collected in
     self.defective (read by nullspace, solve, intersect_spans, truncation).
+
+    A row dict is never mutated once it is stored: clearing a new pivot
+    from a row replaces the row with a new dict.  Two echelons may
+    therefore share row dicts, and a reduced basis can seed a larger one
+    by copying its `rows` mapping.
     """
 
     def __init__(self, pivot_ok=None):
@@ -61,13 +60,27 @@ class Echelon:
     def reduce(self, v: dict) -> dict:
         """Remainder of v after eliminating every pivot column present.
 
-        Every row is zero at the other rows' pivots, so one pass over the
-        pivots present in v clears them all.
+        Every row is zero at the other rows' pivots, so clearing one pivot
+        neither brings in another nor changes v's entry there: one pass
+        over the pivots present in v clears them all, on one copy of v.
         """
         rows = self.rows
+        out = dict(v)
         for k in [k for k in v if k in rows]:
-            v = vec_add_scaled(v, rows[k], -v[k])
-        return dict(v)
+            c = -out.pop(k)       # row k is 1 at k: that entry cancels
+            for col, val in rows[k].items():
+                if col == k:
+                    continue
+                s = out.get(col)
+                if s is None:
+                    out[col] = val * c
+                else:
+                    s = s + val * c
+                    if s.is_zero():
+                        del out[col]
+                    else:
+                        out[col] = s
+        return out
 
     def insert(self, v: dict) -> bool:
         """Reduce v and add it to the basis; True iff the span grew.  A
@@ -81,8 +94,11 @@ class Echelon:
             self.defective.append(r)
             return False
         piv = min(candidates)
-        inv = r[piv].inverse()
-        r = vec_scale(r, inv)
+        lead = r[piv]
+        if not lead.is_one():     # r is reduce's own copy: scale in place
+            inv = lead.inverse()
+            for k, val in r.items():
+                r[k] = val * inv
         # keep the basis fully reduced: clear the new pivot everywhere
         for pk, row in self.rows.items():
             c = row.get(piv)
@@ -97,14 +113,6 @@ class Echelon:
     def basis_rows(self):
         """The rows in increasing pivot order."""
         return [self.rows[k] for k in sorted(self.rows)]
-
-
-def rank(vectors) -> int:
-    """Rank of a family of sparse vectors."""
-    e = Echelon()
-    for v in vectors:
-        e.insert(v)
-    return len(e)
 
 
 def nullspace(rows, n_unknowns, p, nvars):

@@ -17,6 +17,17 @@ from operator import sub
 SMALL_PRIMES = (2, 3, 5, 7)
 
 
+_ZERO_EXPS = {}     # nvars -> (0,) * nvars, built once per variable count
+
+
+def _zero_exp(nvars: int) -> tuple:
+    try:
+        return _ZERO_EXPS[nvars]
+    except KeyError:
+        z = _ZERO_EXPS[nvars] = (0,) * nvars
+        return z
+
+
 def grlex_key(exp: tuple) -> tuple:
     """Sort key for graded lexicographic order (total degree first)."""
     return (sum(exp), exp)
@@ -62,7 +73,10 @@ class MultiPoly:
 
     @classmethod
     def const(cls, p, nvars, c):
-        return cls(p, nvars, {(0,) * nvars: c % p})
+        if p not in SMALL_PRIMES:
+            raise ValueError(f"p must be one of {SMALL_PRIMES}, got {p}")
+        c %= p
+        return cls._raw(p, nvars, {_zero_exp(nvars): c} if c else {})
 
     @classmethod
     def one(cls, p, nvars):
@@ -87,7 +101,8 @@ class MultiPoly:
         return not self.terms or (len(self.terms) == 1 and sum(next(iter(self.terms))) == 0)
 
     def is_one(self):
-        return len(self.terms) == 1 and self.terms.get((0,) * self.nvars) == 1
+        t = self.terms
+        return len(t) == 1 and t.get(_zero_exp(self.nvars)) == 1
 
     def is_monomial(self):
         return len(self.terms) == 1

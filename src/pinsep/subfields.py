@@ -14,9 +14,11 @@ by p^o(e/K), and the products of K's basis with 1, e, ..., e^(p^o - 1)
 are a k-basis of K(e), so every Subfield is an honest field.  A field's
 degree is known from the tower law as soon as it is constructed; its
 basis, the base field's one row included, is built on first use, checked
-to have exactly that dimension, and never changes afterwards.  Each field
-memoizes its Frobenius images k(K^(p^j)) and its canonical r-base, so
-each is built at most once.
+to have exactly that dimension, and never changes afterwards.  K(e)'s
+build starts from K's reduced rows and inserts only the products with
+e, e^2, ....  Each field memoizes its adjunctions K(e), its Frobenius
+images k(K^(p^j)) and its canonical r-base, so each is built at most
+once.
 
 Questions that levels alone settle never build a basis: an element of
 level 0 lies in k and so in every field, an element above a field's
@@ -98,11 +100,11 @@ def vec_mul(ctx: Context, m: int, a: dict, b: dict) -> dict:
     out: dict = {}
     for e, c in a.items():
         for f, d in b.items():
-            g = tuple(x + y for x, y in zip(e, f))
-            carry = tuple(x // q for x in g)
-            rem = tuple(x % q for x in g)
+            rem = tuple(x + y for x, y in zip(e, f))
             coeff = c * d
-            if any(carry):
+            if max(rem) >= q:
+                carry = tuple(x // q for x in rem)
+                rem = tuple(x % q for x in rem)
                 coeff = coeff * RatFunc.monomial(p, ctx.nvars, carry)
             prev = out.get(rem)
             s = coeff if prev is None else prev + coeff
@@ -111,6 +113,16 @@ def vec_mul(ctx: Context, m: int, a: dict, b: dict) -> dict:
             else:
                 out[rem] = s
     return out
+
+
+def _lift_vec(vec: dict, factor: int) -> dict:
+    """A level-m vector re-keyed at level m + j, with factor = p^j.
+
+    With factor 1 the vector itself is returned, not a copy; echelon rows
+    are never mutated once stored, so sharing them is safe."""
+    if factor == 1:
+        return vec
+    return {tuple(x * factor for x in ex): c for ex, c in vec.items()}
 
 
 def _log_p(n: int, p: int) -> int:
@@ -136,6 +148,7 @@ class Subfield:
         self._build = build         # () -> Echelon; dropped once run
         self._basis = None
         self._cache = {}
+        self._chain_root = None     # for a span: the k its adjunctions start from
 
     @property
     def _echelon(self) -> Echelon:
@@ -164,13 +177,20 @@ class Subfield:
 
     @classmethod
     def span(cls, ctx: Context, gens) -> "Subfield":
-        """k(g_1, ..., g_r), built by iterated adjunction."""
-        field = cls.base(ctx)
+        """k(g_1, ..., g_r), built by iterated adjunction.
+
+        The k the chain starts from is kept on the result: adjunctions
+        are memoized on each field, so a later walk from it (the greedy
+        r-base) reuses the fields of the chain instead of rebuilding them.
+        """
+        root = field = cls.base(ctx)
         gens = tuple(gens)
         for g in gens:
             field = field.adjoin(g)
-        return cls(field.ctx, field.level, gens, field.degree_log,
-                   lambda: field._echelon, _private=_TOKEN)
+        out = cls(field.ctx, field.level, gens, field.degree_log,
+                  lambda: field._echelon, _private=_TOKEN)
+        out._chain_root = root
+        return out
 
     def adjoin(self, e: PerfElem) -> "Subfield":
         """K(e) by the tower law [K(e) : K] = p^r with r = o(e/K)."""
@@ -183,24 +203,37 @@ class Subfield:
         The degree of K(e) is then [K : k] * p^r; the basis is built when
         it is first needed.  1, e, ..., e^(p^r - 1) is a K-basis of K(e),
         so the products b*e^l of the K-basis b with 0 <= l < p^r form a
-        k-basis, and the build checks that each one grows the span.  That
-        check catches an r that is too large when the basis is built; an
-        r that is too small goes undetected and yields a proper subspace
-        of K(e), not a field.
+        k-basis.  The build starts from K's reduced rows lifted to K(e)'s
+        level (layer l = 0): scaling every exponent by the same power of
+        p keeps lex order, so each row keeps its pivot and stays reduced.
+        It then inserts only the layers 1 <= l < p^r and checks that each
+        insert grows the span.  That check catches an r that is too large
+        when the basis is built; an r that is too small goes undetected
+        and yields a proper subspace of K(e), not a field.
+
+        The result is memoized on K per e, so each field of a chain is
+        constructed, and its basis built, once.
         """
         if r == 0:
             return self
+        key = ("adjoin", e)
+        if key in self._cache:
+            return self._cache[key]
         ctx = self.ctx
         m = max(self.level, e.level)
         ctx.check_level(m)
 
         def build():
-            gvec = to_vector(e, m)
+            factor = ctx.p ** (m - self.level)
             ech = Echelon()
-            layer = self.basis_vectors(m)
-            for l in range(ctx.p ** r):
-                if l:
-                    layer = [vec_mul(ctx, m, v, gvec) for v in layer]
+            layer = []
+            for piv, row in sorted(self._echelon.rows.items()):
+                row = _lift_vec(row, factor)
+                ech.rows[tuple(x * factor for x in piv)] = row
+                layer.append(row)
+            gvec = to_vector(e, m)
+            for l in range(1, ctx.p ** r):
+                layer = [vec_mul(ctx, m, v, gvec) for v in layer]
                 for v in layer:
                     if not ech.insert(v):
                         raise InternalInconsistency(
@@ -208,8 +241,10 @@ class Subfield:
                             f"against [K(e) : K] = {ctx.p}^{r}")
             return ech
 
-        return Subfield(ctx, m, self.gens + (e,), self.degree_log + r, build,
-                        _private=_TOKEN)
+        field = Subfield(ctx, m, self.gens + (e,), self.degree_log + r, build,
+                         _private=_TOKEN)
+        self._cache[key] = field
+        return field
 
     @classmethod
     def _from_vectors(cls, ctx, level, vecs) -> "Subfield":
@@ -237,12 +272,8 @@ class Subfield:
         m = self.level if m is None else m
         if m < self.level:
             raise ValueError("cannot present the basis below the working level")
-        rows = self._echelon.basis_rows()
         factor = self.ctx.p ** (m - self.level)
-        if factor == 1:
-            return rows
-        return [{tuple(x * factor for x in e): c for e, c in r.items()}
-                for r in rows]
+        return [_lift_vec(r, factor) for r in self._echelon.basis_rows()]
 
     def basis_elements(self):
         return [from_vector(self.ctx, v, self.level)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from pinsep.linalg import Echelon
 from pinsep.perfect import Context
 from pinsep.subfields import Subfield
 
@@ -77,3 +78,11 @@ def acceptance_corpus():
 def fields_equal(a, b):
     return (a.degree_log == b.degree_log and a.contains_field(b)
             and b.contains_field(a))
+
+
+def rank(vectors) -> int:
+    """Rank of a family of sparse vectors, through a fresh echelon."""
+    e = Echelon()
+    for v in vectors:
+        e.insert(v)
+    return len(e)

@@ -172,21 +172,37 @@ def test_canonical_rbase_scans_each_generator_once_per_round(ctx,
 def test_bases_are_built_on_first_use(ctx, monkeypatch):
     """Echelon inserts behind span, canonical_rbase and di.  A field's
     basis is built when a generator of level >= 1 and at most its level
-    is tested as a member.  The span builds k(X^(1/4)) (k's row, then 4)
-    and k(X^(1/4), Y^(1/2)) (8) but not K; canonical_rbase builds its own
-    k(X^(1/4)) (1 + 4) but not the last field of degree 2^3; and di builds
-    nothing, as k(K^2) = k(X^(1/2), Y, XY) only asks about X^(1/2),
-    which lies above k's level, and about Y and XY, which lie in k."""
+    is tested as a member, and K(e) starts from K's reduced rows, so it
+    inserts only the layers b*e^l with l >= 1.  The span builds k (its
+    one row), k(X^(1/4)) (3 more) and k(X^(1/4), Y^(1/2)) (4 more), the
+    last of which is K.  canonical_rbase walks from the span's k and
+    adjoins X^(1/4), then Y^(1/2), the span's own order, so it gets back
+    the fields the span built and inserts nothing.  di builds nothing,
+    as k(K^2) = k(X^(1/2), Y, XY) only asks about X^(1/2), which lies
+    above k's level, and about Y and XY, which lie in k."""
     calls = []
     real = Echelon.insert
     monkeypatch.setattr(Echelon, "insert",
                         lambda self, v: calls.append(v) or real(self, v))
     K = Subfield.span(ctx, three_gens(ctx))
-    assert len(calls) == 1 + 4 + 8
+    assert len(calls) == 1 + 3 + 4
     inv.canonical_rbase(K)
-    assert len(calls) == 13 + 5
+    assert len(calls) == 8
     assert inv.di(K) == 2
-    assert len(calls) == 18
+    assert len(calls) == 8
+
+
+def test_canonical_rbase_reuses_the_span_fields(monkeypatch):
+    """On exe2:3, once the span's fields are built, the greedy r-base
+    walks the same chain of fields and makes no Echelon insert."""
+    K = family("exe2").stage(3)
+    K.basis_vectors()
+    calls = []
+    real = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert",
+                        lambda self, v: calls.append(v) or real(self, v))
+    assert inv.canonical_rbase(K).exponents == (3, 2, 1)
+    assert calls == []
 
 
 def test_oracle_builds_what_the_report_only_counted(ctx, monkeypatch):

@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, nullspace, solve, subspace intersection."""
+"""Exact linear algebra: echelon rank, nullspace, solve, subspace intersection."""
 
 import random
 
@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinsep.linalg import (Echelon, InconsistentSystem, intersect_spans,
-                           nullspace, rank, solve, vec_add_scaled)
+                           nullspace, solve, vec_add_scaled)
 from pinsep.polynomials import MultiPoly, RatFunc
+
+from conftest import rank
 
 
 def c(v, p=3, nv=1):
@@ -158,3 +160,41 @@ def test_defective_rows_hold_no_pivotable_column(accepted, vectors):
             assert row and not any(k in accepted for k in row)
         kept = list(ech.rows.values()) + ech.defective
         assert rank(kept) == rank(vecs[:i + 1]) == rank(kept + vecs[:i + 1])
+
+
+def reduce_by_vec_add_scaled(ech, v):
+    """Reference reduction: one fresh vector per pivot cleared."""
+    for k in [k for k in v if k in ech.rows]:
+        v = vec_add_scaled(v, ech.rows[k], -v[k])
+    return dict(v)
+
+
+sparse_vectors = st.lists(
+    st.dictionaries(st.integers(0, 7), st.tuples(st.integers(1, 2),
+                                                st.integers(0, 2)),
+                    max_size=5), max_size=8)
+
+
+@given(sparse_vectors, sparse_vectors)
+@settings(max_examples=100, deadline=None)
+def test_reduce_in_place_matches_reference(basis, queries):
+    """In-place reduce equals the vec_add_scaled reduction and leaves its
+    argument alone; stored rows are never mutated by later inserts."""
+    x = x_poly()
+    entries = (c(1), x, (x + c(1)).inverse())
+
+    def vec(d):
+        return {k: c(a) * entries[e] for k, (a, e) in d.items()}
+
+    ech = Echelon()
+    stored = []
+    for d in basis:
+        ech.insert(vec(d))
+        stored.extend((row, dict(row)) for row in ech.rows.values())
+    for row, copy in stored:
+        assert row == copy
+    for d in queries:
+        v = vec(d)
+        before = dict(v)
+        assert ech.reduce(v) == reduce_by_vec_add_scaled(ech, v)
+        assert v == before

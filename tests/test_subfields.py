@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinsep import linalg, subfields
-from pinsep.linalg import Echelon, nullspace, rank, vec_add_scaled
+from pinsep.linalg import Echelon, nullspace, vec_add_scaled
 from pinsep.perfect import Context
 from pinsep.polynomials import RatFunc
 from pinsep.subfields import (InternalInconsistency, Subfield, _log_p,
@@ -15,7 +15,7 @@ from pinsep.subfields import (InternalInconsistency, Subfield, _log_p,
 from pinsep.towers import family
 
 from conftest import (fields_equal, random_element, random_field,
-                      random_fields)
+                      random_fields, rank)
 
 
 @pytest.fixture
@@ -421,6 +421,66 @@ def test_adjoin_follows_tower_law(small_corpus):
             assert all(KE.member(g) for g in K.gens) and KE.member(e)
             checked += 1
     assert checked >= 20
+
+
+def adjoin_rows_from_scratch(F, e, r):
+    """Reference build of F(e): every product b*e^l of F's basis with
+    0 <= l < p^r, layer 0 included, inserted into a fresh echelon."""
+    m = max(F.level, e.level)
+    gvec = to_vector(e, m)
+    ech = Echelon()
+    layer = F.basis_vectors(m)
+    for l in range(F.ctx.p ** r):
+        if l:
+            layer = [vec_mul(F.ctx, m, v, gvec) for v in layer]
+        for v in layer:
+            assert ech.insert(v)
+    return ech.rows
+
+
+def check_adjoin_from_reduced_rows(K):
+    """For k, k(K^p) and every proper prefix k(g_1, ..., g_i) of K's
+    generators, each of fresh spans F, and each generator e of K with
+    o(e/F) >= 1: the rows of F(e), seeded with F's reduced rows, equal
+    the reference build's, and F's own row dicts are the same objects
+    with the same contents afterwards."""
+    bases = [K.gens[:i] for i in range(len(K.gens))]
+    bases.append(K.frobenius_image(1).gens)
+    checked = 0
+    for gens in bases:
+        for e in K.gens:
+            F = Subfield.span(K.ctx, gens)
+            r = F.rel_exponent(e)
+            if r == 0:
+                continue
+            before = {piv: (row, dict(row))
+                      for piv, row in F._echelon.rows.items()}
+            rows = F._adjoin_by(e, r)._echelon.rows
+            assert (sorted(rows.items())
+                    == sorted(adjoin_rows_from_scratch(F, e, r).items()))
+            assert F._echelon.rows.keys() == before.keys()
+            for piv, (row, copy) in before.items():
+                assert F._echelon.rows[piv] is row and row == copy
+            checked += 1
+    return checked
+
+
+def test_adjoin_from_reduced_rows_matches_full_build(small_corpus):
+    assert sum(check_adjoin_from_reduced_rows(K) for K in small_corpus) >= 30
+
+
+@given(random_fields)
+@settings(max_examples=25, deadline=None)
+def test_adjoin_from_reduced_rows_matches_full_build_random(K):
+    check_adjoin_from_reduced_rows(K)
+
+
+def test_adjoin_is_memoized(ctx):
+    """K(e) is constructed once per field and element; r = 0 gives K."""
+    K = Subfield.span(ctx, roots(ctx, [("X", 1)]))
+    e = ctx.root_of_variable("Y", 1)
+    assert K.adjoin(e) is K.adjoin(e)
+    assert K.adjoin(ctx.root_of_variable("X", 1)) is K
 
 
 def test_adjoin_checks_tower_law(ctx, monkeypatch):
