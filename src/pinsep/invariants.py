@@ -41,28 +41,21 @@ class RBase:
 
 
 def rbase_extract(K: Subfield) -> RBase:
-    """Reduce the generators of K to an r-base of K/k (unordered).
+    """An r-base of K/k taken from K's generators in order (unordered).
 
-    Walks the generators in order, keeping those outside the span of
-    k(K^p) and the elements already kept; the incomplete-r-base theorem
-    guarantees the result is an r-base, and its size is checked against
-    log_p [K : k(K^p)].  The walk stops once the span reaches K's degree:
-    a subfield of K with K's degree is K.
+    This is rbase_complete(K, (), K.gens): the walk keeps each generator
+    outside the span of k(K^p) and the generators already kept.  Its
+    size is checked against di(K) = log_p [K : k(K^p)]; a mismatch, or a
+    walk that does not reach K, is a bug and raises InternalInconsistency.
     """
-    current = K.frobenius_image(1)
-    expected = K.degree_log - current.degree_log
-    kept = []
-    for g in K.gens:
-        if current.degree_log == K.degree_log:
-            break
-        nxt = current.adjoin(g)
-        if nxt is not current:
-            kept.append(g)
-            current = nxt
-    if len(kept) != expected:
+    try:
+        B = rbase_complete(K, (), K.gens)
+    except ValueError as exc:
+        raise InternalInconsistency(f"r-base extraction: {exc}") from exc
+    if len(B) != di(K):
         raise InternalInconsistency(
-            f"r-base extraction found {len(kept)} elements, expected {expected}")
-    return RBase(tuple(kept))
+            f"r-base extraction found {len(B)} elements, expected {di(K)}")
+    return B
 
 
 def rbase_complete(K: Subfield, B, G) -> RBase:
@@ -74,7 +67,6 @@ def rbase_complete(K: Subfield, B, G) -> RBase:
     degree.
     """
     B = tuple(B)
-    G = tuple(G)
     base = K.frobenius_image(1)
     current = base
     for b in B:
@@ -100,46 +92,15 @@ def di(K: Subfield) -> int:
 
 
 def canonical_rbase(K: Subfield, base: Subfield = None) -> RBase:
-    """Greedy completion: repeatedly adjoin the generator of maximal
-    relative exponent (ties broken by generator index).
-
-    The resulting exponent list (o_1(K/base), o_2(K/base), ...) is
-    independent of the choices; it is non-increasing by construction of
-    the greedy maximum.  With `base` given, the exponents are those of
-    the extension base(K)/base (K's generators must generate it).  The
-    rounds stop once the degree reaches the target, so no round is spent
-    finding every generator already inside.  Without `base`, the walk
-    starts from the k of K's span, whose memoized adjunctions hand back
-    the fields the span already built wherever the greedy order follows
-    the generator order.
+    """K.greedy_rbase(base) as an RBase.  Its exponent list
+    (o_1(K/base), o_2(K/base), ...) does not depend on the choices made,
+    and is checked here to be non-increasing.
     """
-    if base is None and "canonical_rbase" in K._cache:
-        return K._cache["canonical_rbase"]
-    current = base or K._chain_root or Subfield.base(K.ctx)
-    target_log = K.degree_log if base is None else \
-        current.compositum(K).degree_log
-    elements = []
-    exponents = []
-    while current.degree_log < target_log:
-        best_e = 0
-        best_g = None
-        for g in K.gens:
-            e = current.rel_exponent(g)
-            if e > best_e:
-                best_e, best_g = e, g
-        if best_e == 0:
-            break
-        elements.append(best_g)
-        exponents.append(best_e)
-        current = current._adjoin_by(best_g, best_e)
-    if current.degree_log != target_log:
-        raise InternalInconsistency("greedy completion did not exhaust K")
-    if any(exponents[i] < exponents[i + 1] for i in range(len(exponents) - 1)):
+    pairs = K.greedy_rbase(base)
+    elements, exponents = tuple(zip(*pairs)) or ((), ())
+    if any(a < b for a, b in zip(exponents, exponents[1:])):
         raise InternalInconsistency("canonical exponent list increased")
-    out = RBase(tuple(elements), tuple(exponents))
-    if base is None:
-        K._cache["canonical_rbase"] = out
-    return out
+    return RBase(elements, exponents)
 
 
 def exponents_by_di(K: Subfield, s: int) -> int:
@@ -219,24 +180,21 @@ def is_modular(K: Subfield, method: str = "both"):
     e = o_1(K/k), k(K^(p^(e-n))) ⊆ k_n bounds [K : k_n] by
     [K : k(K^(p^(e-n)))], so k_n is computed only at the n where that
     bound exceeds the left side.  With method "both" the two verdicts
-    must agree.
+    must agree, and the criterion's result, witness included, is
+    returned.
     """
     if method not in ("criterion", "disjointness", "both"):
         raise ValueError(f"unknown method {method!r}")
-    results = {}
-    if method in ("criterion", "both"):
-        results["criterion"] = _modular_by_criterion(K)
-    if method in ("disjointness", "both"):
-        results["disjointness"] = _modular_by_disjointness(K)
+    if method == "disjointness":
+        return _modular_by_disjointness(K)
+    result = _modular_by_criterion(K)
     if method == "both":
-        if results["criterion"][0] != results["disjointness"][0]:
+        other = _modular_by_disjointness(K)
+        if result[0] != other[0]:
             raise InternalInconsistency(
-                f"modularity methods disagree on {K!r}: {results}")
-        verdict, witness = results["criterion"]
-        if not verdict and witness is None:
-            witness = results["disjointness"][1]
-        return verdict, witness
-    return results[method]
+                f"modularity methods disagree on {K!r}: criterion {result}, "
+                f"disjointness {other}")
+    return result
 
 
 def _modular_by_criterion(K: Subfield):
@@ -320,19 +278,6 @@ def rp_chain(K: Subfield):
         prev = current
         j += 1
     return chain
-
-
-def di_decomposition_check(K: Subfield) -> bool:
-    """Consistency assertion di(K/k) = di(K/k(K^p)) for finite K.
-
-    At finite exponent rp(K/k) = k, so the general decomposition of di
-    through the relatively perfect closure reduces to this identity; the
-    left side is computed constructively (r-base extraction), the right
-    side by degree ratio.
-    """
-    constructive = len(rbase_extract(K))
-    ratio = di(K)
-    return constructive == ratio
 
 
 # ----------------------------------------------------------------------

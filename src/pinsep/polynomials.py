@@ -237,20 +237,6 @@ class MultiPoly:
             raise ValueError("exponents not divisible")
         return MultiPoly._raw(self.p, self.nvars, terms)
 
-    def deriv(self, i: int):
-        """Partial derivative with respect to variable i."""
-        if not 0 <= i < self.nvars:
-            raise ValueError("variable index out of range")
-        p = self.p
-        terms = {}
-        for e, c in self.terms.items():
-            m = (c * e[i]) % p
-            if m:
-                f = list(e)
-                f[i] -= 1
-                terms[tuple(f)] = m
-        return MultiPoly(p, self.nvars, terms)
-
     # -- comparison -----------------------------------------------------
 
     def __eq__(self, other):
@@ -606,13 +592,6 @@ class RatFunc:
 
     def scale(self, c: int):
         return RatFunc(self.num.scale(c), self.den, _normalized=c % self.p != 0)
-
-    def deriv(self, i: int):
-        """Partial derivative (quotient rule)."""
-        if self.den.is_one():
-            return RatFunc.of_poly(self.num.deriv(i))
-        num = self.num.deriv(i) * self.den - self.num * self.den.deriv(i)
-        return RatFunc(num, self.den * self.den)
 
     def scale_exponents(self, k: int):
         """Substitute x_i -> x_i^k in num and den (Frobenius for k = p^j)."""

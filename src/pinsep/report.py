@@ -50,29 +50,35 @@ def invariant_report(K: Subfield, name=None, oracle=False,
     if utable is not None:
         rep["utable"] = utable
     if oracle:
-        rep["oracle"] = oracle_checks(K, base)
+        rep["oracle"] = oracle_checks(K)
     return rep
 
 
-def oracle_checks(K: Subfield, base=None) -> dict:
+def oracle_checks(K: Subfield) -> dict:
     """Independent re-derivations; raises on disagreement (CI profile).
 
     Bases are built on first use, so a report may read only the degree
-    of K and of its Frobenius images.  Here K's basis is built first and
-    each cached image's basis last, so the insert check of every
-    adjunction behind them runs.  The disjointness test computes k_n
-    only where its Frobenius bounds leave [K : k_n] open; here every
-    k_n with 1 <= n < o_1(K/k) is computed and checked against them.
+    of K and of its Frobenius images.  Here the bases of K and of each
+    k(K^(p^j)) with 1 <= j <= o_1(K/k) + 1 (every image the report, the
+    rp chain and the by-di exponents ask about) are built first, so the
+    insert check of every adjunction behind them runs before any degree
+    is compared.  The greedy exponents are then re-derived from the
+    degrees of the images, and rbase_extract checks the size of an
+    r-base taken from K's generators against di(K/k).  The disjointness
+    test computes k_n only where its Frobenius bounds leave [K : k_n]
+    open; here every k_n with 1 <= n < o_1(K/k) is computed and checked
+    against them.
     """
     K.basis_vectors()
-    base = base or inv.canonical_rbase(K)
+    for j in range(1, K.level + 2):
+        K.frobenius_image(j).basis_vectors()
+    base = inv.canonical_rbase(K)
     by_di = [inv.exponents_by_di(K, s) for s in range(1, len(base) + 2)]
     greedy = list(base.exponents) + [0]
     if by_di != greedy:
         raise inv.InternalInconsistency(
             f"exponent computations disagree: greedy {greedy}, by-di {by_di}")
-    if not inv.di_decomposition_check(K):
-        raise inv.InternalInconsistency("di decomposition check failed")
+    inv.rbase_extract(K)
     for n in range(1, K.level):
         lifted = K.degree_log_over_lifted_base(n)
         relative = K.degree_log - K.truncation(n).degree_log
@@ -81,12 +87,9 @@ def oracle_checks(K: Subfield, base=None) -> dict:
             raise inv.InternalInconsistency(
                 f"[K : k_{n}] = p^{relative} outside its Frobenius bounds "
                 f"p^{lifted} and p^{upper}")
-    for field in K._cache.values():
-        if isinstance(field, Subfield):
-            field.basis_vectors()
     return {
         "exponents_by_di": by_di,
-        "di_decomposition": True,
+        "di_decomposition": True,  # rbase_extract raises on a size mismatch
         "modularity_methods_agree": True,  # is_modular(both) already enforced
     }
 

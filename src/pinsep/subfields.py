@@ -17,8 +17,9 @@ basis, the base field's one row included, is built on first use, checked
 to have exactly that dimension, and never changes afterwards.  K(e)'s
 build starts from K's reduced rows and inserts only the products with
 e, e^2, ....  Each field memoizes its adjunctions K(e), its Frobenius
-images k(K^(p^j)) and its canonical r-base, so each is built at most
-once.
+images k(K^(p^j)) and its greedy r-base, so each is built at most
+once.  A span keeps the k its chain starts from, so the greedy r-base,
+walking from there, reuses the span's fields; no other module sees this.
 
 Questions that levels alone settle never build a basis: an element of
 level 0 lies in k and so in every field, an element above a field's
@@ -180,8 +181,8 @@ class Subfield:
         """k(g_1, ..., g_r), built by iterated adjunction.
 
         The k the chain starts from is kept on the result: adjunctions
-        are memoized on each field, so a later walk from it (the greedy
-        r-base) reuses the fields of the chain instead of rebuilding them.
+        are memoized on each field, so greedy_rbase, walking from it,
+        reuses the fields of the chain instead of rebuilding them.
         """
         root = field = cls.base(ctx)
         gens = tuple(gens)
@@ -195,6 +196,37 @@ class Subfield:
     def adjoin(self, e: PerfElem) -> "Subfield":
         """K(e) by the tower law [K(e) : K] = p^r with r = o(e/K)."""
         return self._adjoin_by(e, self.rel_exponent(e))
+
+    def greedy_rbase(self, base: "Subfield" = None) -> tuple:
+        """Pairs (g, o(g/F)) of the greedy r-base of K over `base` (k if None).
+
+        Each round adjoins to the current field F the generator g of
+        maximal o(g/F), ties broken by generator index, and the rounds
+        stop once the degree reaches that of base(K).  Without `base`,
+        the walk starts from the k of K's span and is memoized on K.
+        """
+        if base is None and "greedy_rbase" in self._cache:
+            return self._cache["greedy_rbase"]
+        current = base or self._chain_root or Subfield.base(self.ctx)
+        target_log = (self.degree_log if base is None
+                      else current.compositum(self).degree_log)
+        pairs = []
+        while current.degree_log < target_log:
+            best_o, best_g = 0, None
+            for g in self.gens:
+                o = current.rel_exponent(g)
+                if o > best_o:
+                    best_o, best_g = o, g
+            if best_o == 0:
+                break
+            pairs.append((best_g, best_o))
+            current = current._adjoin_by(best_g, best_o)
+        if current.degree_log != target_log:
+            raise InternalInconsistency("greedy completion did not exhaust K")
+        pairs = tuple(pairs)
+        if base is None:
+            self._cache["greedy_rbase"] = pairs
+        return pairs
 
     def _adjoin_by(self, e: PerfElem, r: int) -> "Subfield":
         """K(e) for a caller that already knows r = o(e/K).

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pinsep.linalg import Echelon
 from pinsep.perfect import Context
+from pinsep.polynomials import MultiPoly, RatFunc
 from pinsep.subfields import Subfield
 
 VAR_NAMES = ("X", "Y", "Z")
@@ -86,3 +87,22 @@ def rank(vectors) -> int:
     for v in vectors:
         e.insert(v)
     return len(e)
+
+
+def partial_derivative(f, i):
+    """d f / d x_i of a MultiPoly, or of a RatFunc by the quotient rule.
+
+    The library never differentiates; this is the independent reference
+    for the derivative criterion of minimal levels."""
+    if isinstance(f, RatFunc):
+        num = (partial_derivative(f.num, i) * f.den
+               - f.num * partial_derivative(f.den, i))
+        return RatFunc(num, f.den * f.den)
+    if not 0 <= i < f.nvars:
+        raise ValueError("variable index out of range")
+    terms = {}
+    for e, c in f.terms.items():
+        m = (c * e[i]) % f.p
+        if m:
+            terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = m
+    return MultiPoly(f.p, f.nvars, terms)

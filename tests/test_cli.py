@@ -498,6 +498,28 @@ def test_family_survey_script():
     assert "all documented claims hold" in proc.stdout
 
 
+def test_family_survey_script_json():
+    """With --json, stdout is JSON reports and nothing else: the claims
+    come as claims reports, the closing summary goes to stderr."""
+    script = Path(__file__).parent.parent / "scripts" / "run_families.py"
+    proc = subprocess.run([sys.executable, str(script), "--json"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "all documented claims hold" in proc.stderr
+    decoder = json.JSONDecoder()
+    docs, pos, out = [], 0, proc.stdout
+    while out[pos:].strip():
+        while out[pos].isspace():
+            pos += 1
+        doc, pos = decoder.raw_decode(out, pos)
+        docs.append(doc)
+    kinds = [d["kind"] for d in docs]
+    assert kinds.count("invariants") == kinds.count("claims") == 6
+    assert kinds.count("utable") == 4
+    assert all(c["passed"] for d in docs if d["kind"] == "claims"
+               for c in d["claims"])
+
+
 def test_make_goldens_help_writes_nothing():
     """--help prints usage and leaves every golden file untouched."""
     def snapshot():

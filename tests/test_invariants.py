@@ -62,6 +62,46 @@ def test_rbase_extract_drops_redundant(ctx):
     assert B.elements == (ctx.root_of_variable("X", 2),)
 
 
+def rbase_in_order(K):
+    """The generators of K outside the span of k(K^p) and of the ones kept
+    before them, in order: the reference walk for rbase_extract."""
+    current = K.frobenius_image(1)
+    kept = []
+    for g in K.gens:
+        if not current.member(g):
+            kept.append(g)
+            current = current.adjoin(g)
+    return tuple(kept)
+
+
+def test_rbase_extract_matches_in_order_walk(small_corpus):
+    """rbase_extract keeps the same generators, in the same order, as the
+    plain walk from k(K^p) that keeps each generator not yet a member."""
+    for K in small_corpus:
+        assert inv.rbase_extract(K).elements == rbase_in_order(K)
+
+
+@given(random_fields)
+@settings(max_examples=25, deadline=None)
+def test_rbase_extract_matches_in_order_walk_random(K):
+    assert inv.rbase_extract(K).elements == rbase_in_order(K)
+
+
+def test_rbase_extract_failures_are_internal(ctx, monkeypatch):
+    """A size mismatch with di, or a walk that never reaches K, is a bug
+    (InternalInconsistency, exit 4), not bad input."""
+    K = section5(ctx)
+    K.frobenius_image(1)
+    with monkeypatch.context() as mp:
+        mp.setattr(inv, "di", lambda K: 3)
+        with pytest.raises(InternalInconsistency,
+                           match="found 2 elements, expected 3"):
+            inv.rbase_extract(K)
+    monkeypatch.setattr(Subfield, "adjoin", lambda self, e: self)
+    with pytest.raises(InternalInconsistency, match="does not generate"):
+        inv.rbase_extract(K)
+
+
 def test_rbase_complete(ctx):
     K = Subfield.span(ctx, roots(ctx, [("X", 1), ("Y", 1)]))
     full = inv.rbase_complete(K, K.gens, K.gens)
@@ -169,6 +209,18 @@ def test_canonical_rbase_scans_each_generator_once_per_round(ctx,
     assert len(calls) == len(K.gens) * d
 
 
+def test_canonical_rbase_is_memoized(ctx, monkeypatch):
+    """A second canonical_rbase(K) makes no rel_exponent call."""
+    K = Subfield.span(ctx, three_gens(ctx))
+    first = inv.canonical_rbase(K)
+    calls = []
+    real = Subfield.rel_exponent
+    monkeypatch.setattr(Subfield, "rel_exponent",
+                        lambda self, a: calls.append(a) or real(self, a))
+    assert inv.canonical_rbase(K) == first
+    assert calls == []
+
+
 def test_bases_are_built_on_first_use(ctx, monkeypatch):
     """Echelon inserts behind span, canonical_rbase and di.  A field's
     basis is built when a generator of level >= 1 and at most its level
@@ -217,6 +269,23 @@ def test_oracle_builds_what_the_report_only_counted(ctx, monkeypatch):
                    lambda self, a: real(self, a) + (a is gens[-1]))
         K = Subfield.span(ctx, gens)
     assert K.degree_log == 4
+    with pytest.raises(InternalInconsistency, match="fell in the span"):
+        report.oracle_checks(K)
+
+
+def test_oracle_builds_the_frobenius_images(ctx, monkeypatch):
+    """The same check inside a Frobenius image of K: in k(K^2) =
+    k(X^(1/2), Y, XY), saying o(XY/F) = 1 for XY, which lies in k, makes
+    an image of claimed degree 2^2.  The oracle builds that image's
+    basis before it compares any degree, so the insert check reports it."""
+    gens = three_gens(ctx)
+    K = Subfield.span(ctx, gens)
+    xy = gens[-1].frob(1)
+    real = Subfield.rel_exponent
+    with monkeypatch.context() as mp:
+        mp.setattr(Subfield, "rel_exponent",
+                   lambda self, a: real(self, a) + (a == xy))
+        assert K.frobenius_image(1).degree_log == 2
     with pytest.raises(InternalInconsistency, match="fell in the span"):
         report.oracle_checks(K)
 
@@ -580,10 +649,11 @@ def test_rp_chain_strictly_decreasing_then_stationary(small_corpus):
 
 
 def test_di_decomposition(ctx, small_corpus):
-    assert inv.di_decomposition_check(section5(ctx))
-    assert inv.di_decomposition_check(Subfield.span(ctx, roots(ctx, [("X", 2)])))
-    for K in small_corpus[:10]:
-        assert inv.di_decomposition_check(K)
+    """At finite exponent rp(K/k) = k, so di(K/k) = di(K/k(K^p)): an
+    r-base taken from the generators has di(K) elements."""
+    fields = [section5(ctx), Subfield.span(ctx, roots(ctx, [("X", 2)]))]
+    for K in fields + small_corpus[:10]:
+        assert len(inv.rbase_extract(K)) == inv.di(K)
 
 
 # ----------------------------------------------------------------------

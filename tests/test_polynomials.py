@@ -11,6 +11,8 @@ from pinsep.polynomials import (MultiPoly, RatFunc, VariableCountMismatch,
                                 _gcd_core, _make_monic, _monomial_content,
                                 _shift_down, mp_divmod, mp_exact_div, mp_gcd)
 
+from conftest import partial_derivative
+
 
 def poly(p, nvars, terms):
     return MultiPoly(p, nvars, terms)
@@ -109,8 +111,10 @@ def test_pow_matches_repeated_multiplication():
 def test_partial_derivative_examples():
     # d(x^2)/dx = 2x = 0 over F_2; d(x^3)/dx = 3x^2 = x^2 over F_2
     x = var(2, 1, 0)
-    assert (x ** 2).deriv(0).is_zero()
-    assert (x ** 3).deriv(0) == x ** 2
+    assert partial_derivative(x ** 2, 0).is_zero()
+    assert partial_derivative(x ** 3, 0) == x ** 2
+    with pytest.raises(ValueError):
+        partial_derivative(x, 1)
 
 
 # ----------------------------------------------------------------------
@@ -269,10 +273,13 @@ def test_rat_partial_derivative_quotient_rule():
     p = 3
     x, y = var(p, 2, 0), var(p, 2, 1)
     r = RatFunc(MultiPoly.one(p, 2), y)
-    assert r.deriv(0).is_zero()
+    assert partial_derivative(r, 0).is_zero()
     s = RatFunc(x, y)
     expected = RatFunc(-x, y * y)
-    assert s.deriv(1) == expected
+    assert partial_derivative(s, 1) == expected
+    # a polynomial body: d(x^2 y)/dx = 2xy
+    assert partial_derivative(RatFunc.of_poly(x * x * y), 0) == \
+        RatFunc.of_poly((x * y).scale(2))
 
 
 @given(st.data(), st.sampled_from([2, 3]))
