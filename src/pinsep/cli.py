@@ -13,11 +13,10 @@ Exit codes: 0 success, 2 parse/usage errors, 3 ambient-cap errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-
-import yaml
 
 from . import report as rpt
 from .exprs import ExprError, is_name, parse_element
@@ -46,6 +45,13 @@ RESERVED = {"rt"}
 
 
 def load_config(text: str) -> ContextConfig:
+    # Only context documents need PyYAML, so commands without --context
+    # neither load it nor require it.
+    try:
+        import yaml
+    except ImportError as exc:
+        raise ConfigError(f"reading a context document needs PyYAML: "
+                          f"{exc}") from exc
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -282,7 +288,13 @@ def cmd_parity(args, cfg):
     _emit(args, rpt.parity_report(args.n))
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and then reused.
+
+    parse_args leaves the parser unchanged and returns a fresh namespace,
+    so every main() call of a process can share one parser.
+    """
     ap = argparse.ArgumentParser(
         prog="pinsep",
         description="exact invariants of purely inseparable extensions "

@@ -203,10 +203,8 @@ class Subfield:
         Each round adjoins to the current field F the generator g of
         maximal o(g/F), ties broken by generator index, and the rounds
         stop once the degree reaches that of base(K).  Without `base`,
-        the walk starts from the k of K's span and is memoized on K.
+        the walk starts from the k of K's span.
         """
-        if base is None and "greedy_rbase" in self._cache:
-            return self._cache["greedy_rbase"]
         current = base or self._chain_root or Subfield.base(self.ctx)
         target_log = (self.degree_log if base is None
                       else current.compositum(self).degree_log)
@@ -223,10 +221,7 @@ class Subfield:
             current = current._adjoin_by(best_g, best_o)
         if current.degree_log != target_log:
             raise InternalInconsistency("greedy completion did not exhaust K")
-        pairs = tuple(pairs)
-        if base is None:
-            self._cache["greedy_rbase"] = pairs
-        return pairs
+        return tuple(pairs)
 
     def _adjoin_by(self, e: PerfElem, r: int) -> "Subfield":
         """K(e) for a caller that already knows r = o(e/K).
@@ -296,6 +291,14 @@ class Subfield:
 
     # -- basic queries ------------------------------------------------
 
+    def memo(self, key, compute):
+        """compute(), called on the first request for `key` and then kept
+        on K.  Values derived from K alone live here, so they are built
+        once per field and live as long as it does."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
     @property
     def degree(self) -> int:
         return self.ctx.p ** self.degree_log
@@ -362,11 +365,8 @@ class Subfield:
                              "use perfect_lift for roots")
         if j == 0:
             return self
-        key = ("frobenius_image", j)
-        if key not in self._cache:
-            self._cache[key] = Subfield.span(
-                self.ctx, tuple(g.frob(j) for g in self.gens))
-        return self._cache[key]
+        return self.memo(("frobenius_image", j), lambda: Subfield.span(
+            self.ctx, tuple(g.frob(j) for g in self.gens)))
 
     def perfect_lift(self, n: int) -> "Subfield":
         """K^(1/p^n) = k(x^(1/p^n), g^(1/p^n)); degree grows by p^(nu*n)."""

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pinsep.cli import ConfigError, load_config, main
+from pinsep.cli import ConfigError, build_parser, load_config, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -401,6 +401,79 @@ def test_parity_command():
     rc, out, _ = run_cli("--json", "parity", "5")
     rep = json.loads(out)
     assert (rep["lpi"], rep["lps"]) == (3, 4)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def is_text(out):
+    return out.startswith("n = 5: lpi = 3, lps = 4\n")
+
+
+def no_oracle(out):
+    return "oracle" not in json.loads(out)
+
+
+def method_both(out):
+    return json.loads(out)["method"] == "both"
+
+
+@pytest.mark.parametrize("first,second,check", [
+    (["--json", "parity", "5"], ["parity", "5"], is_text),
+    (["--json", "--oracle", "invariants", "exe4:3"],
+     ["--json", "invariants", "exe4:3"], no_oracle),
+    (["--json", "modular", "exe4:3", "--method", "criterion"],
+     ["--json", "modular", "exe4:3"], method_both),
+], ids=["json", "oracle", "method"])
+def test_calls_on_the_shared_parser_are_independent(first, second, check):
+    """main() reuses one parser per process.  A flag or option given to
+    one call leaves the next call's namespace at the parser's defaults."""
+    alone = run_cli(*second)
+    rc, out, _ = run_cli(*first)
+    assert rc == 0 and not check(out)
+    after = run_cli(*second)
+    assert after == alone
+    assert after[0] == 0 and check(after[1])
+
+
+def test_call_after_a_usage_error():
+    """A call that argparse refuses (SystemExit(2)) leaves the shared
+    parser usable."""
+    alone = run_cli("parity", "5")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("modular", "exe4:3", "--method", "nope")
+    assert exc.value.code == 2
+    assert run_cli("parity", "5") == alone
+    assert is_text(alone[1])
+
+
+def test_import_does_not_load_pyyaml():
+    """Only --context reads YAML, so importing the CLI leaves PyYAML
+    unloaded."""
+    proc = run_module("-c", "import sys, pinsep.cli; "
+                            "print('yaml' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+WITHOUT_PYYAML = ("import sys\n"
+                  "sys.modules['yaml'] = None   # import yaml now fails\n"
+                  "from pinsep.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+
+
+def test_context_without_pyyaml_is_parse_error(config_path):
+    """Without PyYAML, --context exits 2 with a parse error that names
+    it, and commands without --context still run."""
+    proc = run_module("-c", WITHOUT_PYYAML, "--context", config_path,
+                      "invariants", "K")
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error[parse]:")
+    assert "PyYAML" in proc.stderr and "Traceback" not in proc.stderr
+    proc = run_module("-c", WITHOUT_PYYAML, "parity", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert is_text(proc.stdout)
 
 
 def test_oracle_flag(config_path):

@@ -210,14 +210,15 @@ def test_canonical_rbase_scans_each_generator_once_per_round(ctx,
 
 
 def test_canonical_rbase_is_memoized(ctx, monkeypatch):
-    """A second canonical_rbase(K) makes no rel_exponent call."""
+    """A second canonical_rbase(K) makes no rel_exponent call and returns
+    the same RBase object, so the exponent check runs once per field."""
     K = Subfield.span(ctx, three_gens(ctx))
     first = inv.canonical_rbase(K)
     calls = []
     real = Subfield.rel_exponent
     monkeypatch.setattr(Subfield, "rel_exponent",
                         lambda self, a: calls.append(a) or real(self, a))
-    assert inv.canonical_rbase(K) == first
+    assert inv.canonical_rbase(K) is first
     assert calls == []
 
 

@@ -261,6 +261,25 @@ def test_rat_identity_examples():
     assert (inv + inv).is_zero()
 
 
+def test_rat_mul_by_one_returns_the_other_factor():
+    """A product with 1 is the other factor itself, not an equal copy.
+
+    Products of field vectors (subfields.vec_mul) meet entries equal to
+    1 all the time: every reduced row is 1 at its pivot, and a generator
+    such as rt(X,1) is a single entry 1.  Returning the other factor lets
+    the product share that entry instead of holding an equal copy.  A
+    faster route for monomial factors, placed ahead of this shortcut,
+    made those copies, and raised both the memory and the op time of the
+    towers benchmark workload."""
+    x, y = var(2, 2, 0), var(2, 2, 1)
+    a = rf(x + y, x)
+    one = RatFunc.one(2, 2)
+    assert one * a is a
+    assert a * one is a
+    monomial = rf(x * y)
+    assert one * monomial is monomial and monomial * one is monomial
+
+
 def test_rat_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         RatFunc.one(2, 1).inverse().__truediv__(RatFunc.zero(2, 1))
