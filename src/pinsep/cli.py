@@ -258,6 +258,11 @@ def cmd_member(args, cfg):
 
 
 def cmd_family(args, cfg):
+    given = [f for f in ("horizon", "smax") if getattr(args, f) is not None]
+    if args.sub == "claims" and given:
+        raise ConfigError(f"family claims takes no --{given[0]}")
+    if args.smax is not None and args.horizon is None:
+        raise ConfigError("family invariants takes --smax only with --horizon")
     params = parse_params(args.params)
     if args.n is not None:
         params["n"] = args.n
@@ -351,7 +356,7 @@ def build_parser():
     sp.add_argument("--horizon", type=int, default=None,
                     help="embed the U-table up to this horizon")
     sp.add_argument("--smax", type=int, default=None,
-                    help="U-table row count (default: di of the stage)")
+                    help="U-table row count, with --horizon (default: di)")
     sp.set_defaults(fn=cmd_family)
 
     sp = sub.add_parser("utable", help="U_s^j table of a family")

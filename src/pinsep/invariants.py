@@ -91,21 +91,19 @@ def di(K: Subfield) -> int:
     return K.degree_log - K.frobenius_image(1).degree_log
 
 
-def canonical_rbase(K: Subfield, base: Subfield = None) -> RBase:
-    """K.greedy_rbase(base) as an RBase.  Its exponent list
-    (o_1(K/base), o_2(K/base), ...) does not depend on the choices made,
-    and is checked here to be non-increasing.  Over k (no `base`) the
-    RBase is built once per field and kept on K.
+def canonical_rbase(K: Subfield) -> RBase:
+    """K.greedy_rbase() as an RBase, built once per field and kept on K.
+    Its exponent list (o_1(K/k), o_2(K/k), ...) does not depend on the
+    choices made, and is checked here to be non-increasing.
     """
 
     def build():
-        pairs = K.greedy_rbase(base)
-        elements, exponents = tuple(zip(*pairs)) or ((), ())
+        elements, exponents = tuple(zip(*K.greedy_rbase())) or ((), ())
         if any(a < b for a, b in zip(exponents, exponents[1:])):
             raise InternalInconsistency("canonical exponent list increased")
         return RBase(elements, exponents)
 
-    return build() if base is not None else K.memo("canonical_rbase", build)
+    return K.memo("canonical_rbase", build)
 
 
 def exponents_by_di(K: Subfield, s: int) -> int:

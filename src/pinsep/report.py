@@ -223,6 +223,8 @@ def to_text(rep: dict) -> str:
                      + (f" (exponent {eq['exponent']})" if eq["verdict"] else ""))
         lines.append("  rp chain degree logs: "
                      f"{rep['rp_chain_degree_logs']}")
+        if "utable" in rep:
+            lines.append(to_text(rep["utable"]))
     elif kind == "rbase":
         lines.append(f"canonical r-base of {rep.get('field', '(anonymous)')}:")
         for g, e in zip(rep["rbase"], rep["exponents"]):

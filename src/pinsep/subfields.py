@@ -18,8 +18,8 @@ to have exactly that dimension, and never changes afterwards.  K(e)'s
 build starts from K's reduced rows and inserts only the products with
 e, e^2, ....  Each field memoizes its adjunctions K(e), its Frobenius
 images k(K^(p^j)) and its greedy r-base, so each is built at most
-once.  A span keeps the k its chain starts from, so the greedy r-base,
-walking from there, reuses the span's fields; no other module sees this.
+once.  A span adjoins in greedy order (largest relative exponent first),
+so its one chain of fields yields, and keeps, the greedy r-base.
 
 Questions that levels alone settle never build a basis: an element of
 level 0 lies in k and so in every field, an element above a field's
@@ -149,7 +149,6 @@ class Subfield:
         self._build = build         # () -> Echelon; dropped once run
         self._basis = None
         self._cache = {}
-        self._chain_root = None     # for a span: the k its adjunctions start from
 
     @property
     def _echelon(self) -> Echelon:
@@ -178,50 +177,45 @@ class Subfield:
 
     @classmethod
     def span(cls, ctx: Context, gens) -> "Subfield":
-        """k(g_1, ..., g_r), built by iterated adjunction.
+        """k(g_1, ..., g_r), adjoining the generators in greedy order.
 
-        The k the chain starts from is kept on the result: adjunctions
-        are memoized on each field, so greedy_rbase, walking from it,
-        reuses the fields of the chain instead of rebuilding them.
+        Each round adjoins to the current field F a generator g of maximal
+        o(g/F), the first by index.  o(g/F) only falls as F grows, so one
+        with o(g/F) = 0 is dropped for good.  The rounds' pairs (g, o) are
+        the result's greedy_rbase(); its gens stay the tuple given.
         """
-        root = field = cls.base(ctx)
-        gens = tuple(gens)
-        for g in gens:
-            field = field.adjoin(g)
-        out = cls(field.ctx, field.level, gens, field.degree_log,
+        field, pairs = cls.base(ctx), []
+        gens = remaining = tuple(gens)
+        while remaining:
+            scored = [(field.rel_exponent(g), g) for g in remaining]
+            o, g = max(scored, key=lambda s: s[0])
+            if not o:
+                break
+            pairs.append((g, o))
+            field = field._adjoin_by(g, o)
+            remaining = [h for r, h in scored if r and h is not g]
+        out = cls(ctx, field.level, gens, field.degree_log,
                   lambda: field._echelon, _private=_TOKEN)
-        out._chain_root = root
+        out.memo("greedy_rbase", lambda: tuple(pairs))
         return out
 
     def adjoin(self, e: PerfElem) -> "Subfield":
         """K(e) by the tower law [K(e) : K] = p^r with r = o(e/K)."""
         return self._adjoin_by(e, self.rel_exponent(e))
 
-    def greedy_rbase(self, base: "Subfield" = None) -> tuple:
-        """Pairs (g, o(g/F)) of the greedy r-base of K over `base` (k if None).
+    def greedy_rbase(self) -> tuple:
+        """Pairs (g, o(g/F)) of the greedy r-base of K/k, in round order.
+        A field that span did not make (a truncation, an intersection,
+        K.adjoin(e)) spans its generators once and keeps that span's."""
 
-        Each round adjoins to the current field F the generator g of
-        maximal o(g/F), ties broken by generator index, and the rounds
-        stop once the degree reaches that of base(K).  Without `base`,
-        the walk starts from the k of K's span.
-        """
-        current = base or self._chain_root or Subfield.base(self.ctx)
-        target_log = (self.degree_log if base is None
-                      else current.compositum(self).degree_log)
-        pairs = []
-        while current.degree_log < target_log:
-            best_o, best_g = 0, None
-            for g in self.gens:
-                o = current.rel_exponent(g)
-                if o > best_o:
-                    best_o, best_g = o, g
-            if best_o == 0:
-                break
-            pairs.append((best_g, best_o))
-            current = current._adjoin_by(best_g, best_o)
-        if current.degree_log != target_log:
-            raise InternalInconsistency("greedy completion did not exhaust K")
-        return tuple(pairs)
+        def respan():
+            field = Subfield.span(self.ctx, self.gens)
+            if field.degree_log != self.degree_log:
+                raise InternalInconsistency(
+                    "K and the span of its generators differ in degree")
+            return field.greedy_rbase()
+
+        return self.memo("greedy_rbase", respan)
 
     def _adjoin_by(self, e: PerfElem, r: int) -> "Subfield":
         """K(e) for a caller that already knows r = o(e/K).

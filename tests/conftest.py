@@ -81,6 +81,30 @@ def fields_equal(a, b):
             and b.contains_field(a))
 
 
+def greedy_rbase_over(K, L):
+    """Pairs (g, o(g/F)) of a greedy r-base of L(K)/L, walked through the
+    public rel_exponent, adjoin and compositum: from F = L, every
+    generator of K is tested every round, one of maximal o(g/F) (the
+    first by index) is adjoined, and the rounds stop at the degree of
+    the compositum L(K).  With L = k this is the reference for the
+    greedy r-base a span keeps."""
+    target = L.compositum(K).degree_log
+    current, pairs = L, []
+    while current.degree_log < target:
+        exps = [current.rel_exponent(g) for g in K.gens]
+        best = max(range(len(exps)), key=exps.__getitem__)
+        assert exps[best] > 0, "greedy walk stalled below L(K)"
+        pairs.append((K.gens[best], exps[best]))
+        current = current.adjoin(K.gens[best])
+    assert current.degree_log == target
+    return tuple(pairs)
+
+
+def greedy_exponents_over(K, L):
+    """The exponent list of greedy_rbase_over(K, L)."""
+    return tuple(o for _, o in greedy_rbase_over(K, L))
+
+
 def rank(vectors) -> int:
     """Rank of a family of sparse vectors, through a fresh echelon."""
     e = Echelon()

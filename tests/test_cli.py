@@ -389,6 +389,30 @@ def test_family_invariants_with_embedded_utable():
     assert rep["utable"]["s_max"] == rep["di"]
 
 
+def test_family_invariants_text_shows_embedded_utable():
+    """The text report carries the U-table that --horizon asks for, as
+    the utable command prints it."""
+    rc, out, _ = run_cli("family", "exe1", "invariants", "--n", "3",
+                         "--horizon", "3")
+    assert rc == 0
+    _, table, _ = run_cli("utable", "exe1", "--horizon", "3", "--smax", "3",
+                          "--params", "n=3")
+    assert out.startswith("field exe1:3 over ")
+    assert out.endswith("\n" + table)
+    assert "  s=2: [1, 1, 1]" in out
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["family", "exe4", "claims", "--horizon", "3"], "--horizon"),
+    (["family", "exe4", "claims", "--smax", "2"], "--smax"),
+    (["family", "exe1", "invariants", "--n", "2", "--smax", "2"], "--smax"),
+], ids=["claims_horizon", "claims_smax", "invariants_smax_without_horizon"])
+def test_family_rejects_flags_it_would_ignore(argv, flag):
+    rc, out, err = run_cli(*argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error[parse]:") and flag in err
+
+
 def test_utable_command():
     rc, out, _ = run_cli("--json", "utable", "exe1", "--horizon", "3",
                          "--smax", "3", "--params", "n=3")

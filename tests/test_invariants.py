@@ -14,7 +14,8 @@ from pinsep.perfect import Context
 from pinsep.subfields import InternalInconsistency, Subfield
 from pinsep.towers import family
 
-from conftest import fields_equal, random_field, random_fields
+from conftest import (fields_equal, greedy_exponents_over, greedy_rbase_over,
+                      random_field, random_fields)
 
 
 @pytest.fixture
@@ -194,19 +195,21 @@ def three_gens(ctx):
 
 def test_canonical_rbase_scans_each_generator_once_per_round(ctx,
                                                             monkeypatch):
-    """o(g/current) is computed |gens| times per greedy round, di rounds
-    in all: the rounds stop once the degree reaches [K : k], with no
-    round that finds every generator inside.  Adjoining the chosen
-    generator reuses its exponent."""
-    K = Subfield.span(ctx, three_gens(ctx))
-    d = inv.di(K)
+    """The span is the greedy walk: each round computes o(g/F) once for
+    every generator still in play and drops those with o = 0, so on
+    three_gens it makes 3 + 2 + 1 = 6 rel_exponent calls (the last
+    round finds X^(1/2)*Y^(1/2) inside and ends the walk).  Adjoining
+    the chosen generator reuses its exponent, and canonical_rbase reads
+    the pairs the span kept, with no call of its own."""
     calls = []
     real = Subfield.rel_exponent
     monkeypatch.setattr(Subfield, "rel_exponent",
                         lambda self, a: calls.append(a) or real(self, a))
+    K = Subfield.span(ctx, three_gens(ctx))
+    assert len(calls) == 6
     B = inv.canonical_rbase(K)
-    assert (d, B.exponents) == (2, (2, 1))
-    assert len(calls) == len(K.gens) * d
+    assert B.exponents == (2, 1)
+    assert len(calls) == 6
 
 
 def test_canonical_rbase_is_memoized(ctx, monkeypatch):
@@ -228,9 +231,9 @@ def test_bases_are_built_on_first_use(ctx, monkeypatch):
     is tested as a member, and K(e) starts from K's reduced rows, so it
     inserts only the layers b*e^l with l >= 1.  The span builds k (its
     one row), k(X^(1/4)) (3 more) and k(X^(1/4), Y^(1/2)) (4 more), the
-    last of which is K.  canonical_rbase walks from the span's k and
-    adjoins X^(1/4), then Y^(1/2), the span's own order, so it gets back
-    the fields the span built and inserts nothing.  di builds nothing,
+    last of which is K, built when the last round tests
+    X^(1/2)*Y^(1/2) against it.  canonical_rbase reads the greedy pairs
+    the span kept and inserts nothing.  di builds nothing,
     as k(K^2) = k(X^(1/2), Y, XY) only asks about X^(1/2), which lies
     above k's level, and about Y and XY, which lie in k."""
     calls = []
@@ -247,7 +250,7 @@ def test_bases_are_built_on_first_use(ctx, monkeypatch):
 
 def test_canonical_rbase_reuses_the_span_fields(monkeypatch):
     """On exe2:3, once the span's fields are built, the greedy r-base
-    walks the same chain of fields and makes no Echelon insert."""
+    makes no Echelon insert: the span kept it."""
     K = family("exe2").stage(3)
     K.basis_vectors()
     calls = []
@@ -258,16 +261,68 @@ def test_canonical_rbase_reuses_the_span_fields(monkeypatch):
     assert calls == []
 
 
+def test_canonical_rbase_builds_nothing_once_bases_are_built(
+        acceptance_corpus, monkeypatch):
+    """The span adjoins in greedy order, so the canonical r-base comes
+    off the span's own chain: on every acceptance-corpus field, and on a
+    span of its generators shuffled, canonical_rbase makes no Echelon
+    insert once the field's basis is built.  A greedy walk along a chain
+    of its own builds fields wherever the greedy order differs from the
+    generator order: 27 of the 200 fields and 19 of the shuffled spans."""
+    rng = random.Random(5)
+    fields = []
+    for K in acceptance_corpus:
+        gens = list(K.gens)
+        rng.shuffle(gens)
+        fields += [K, Subfield.span(K.ctx, gens)]
+    for F in fields:
+        F.basis_vectors()
+    calls = []
+    real = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert",
+                        lambda self, v: calls.append(v) or real(self, v))
+    inserted = []
+    for i, F in enumerate(fields):
+        inv.canonical_rbase(F)
+        if calls:
+            inserted.append(i)
+            calls.clear()
+    assert inserted == []
+
+
+def test_span_greedy_pairs_match_reference_walk(small_corpus):
+    for K in small_corpus:
+        assert K.greedy_rbase() == greedy_rbase_over(K, Subfield.base(K.ctx))
+
+
+@given(random_fields)
+@settings(max_examples=25, deadline=None)
+def test_span_greedy_pairs_match_reference_walk_random(K):
+    assert K.greedy_rbase() == greedy_rbase_over(K, Subfield.base(K.ctx))
+
+
+def test_truncation_greedy_pairs_match_reference_walk():
+    """The truncations k_j of exe1:3, which u_table reads, are not spans:
+    their greedy r-base comes from one span of their generators."""
+    K = family("exe1", n=3).stage(3)
+    for j in range(1, K.level):
+        k_j = K.truncation(j)
+        assert k_j.greedy_rbase() == greedy_rbase_over(
+            k_j, Subfield.base(K.ctx))
+
+
 def test_oracle_builds_what_the_report_only_counted(ctx, monkeypatch):
     """An overstated o(e/K) is caught by the insert check once the basis
     is built, and the oracle builds K's basis before anything else.  The
-    last generator is already inside; saying o = 1 makes a field of
-    claimed degree 2^4 that the span leaves unbuilt."""
-    gens = three_gens(ctx)
+    span of (X^(1/4), Y^(1/2)) adjoins Y^(1/2) last, to k(X^(1/4));
+    saying o = 2 there, one more than the truth, makes a field of claimed
+    degree 2^4 that no later round tests against, so the span leaves it
+    unbuilt."""
+    gens = roots(ctx, [("X", 2), ("Y", 1)])
     real = Subfield.rel_exponent
     with monkeypatch.context() as mp:
-        mp.setattr(Subfield, "rel_exponent",
-                   lambda self, a: real(self, a) + (a is gens[-1]))
+        mp.setattr(Subfield, "rel_exponent", lambda self, a: real(self, a)
+                   + (a is gens[-1] and self.degree_log > 0))
         K = Subfield.span(ctx, gens)
     assert K.degree_log == 4
     with pytest.raises(InternalInconsistency, match="fell in the span"):
@@ -335,7 +390,7 @@ def test_exponents_under_disjoint_base_change(ctx):
     # disjoint over k: disjoint over the (trivial) intersection
     assert K1.linearly_disjoint(K2)
     assert K1.intersect(K2).degree_log == 0
-    assert inv.canonical_rbase(K1, base=K2).exponents == \
+    assert greedy_exponents_over(K1, K2) == \
         inv.canonical_rbase(K1).exponents
 
 
@@ -348,7 +403,7 @@ def test_base_change_exponents_never_grow(small_corpus):
         pairs += 1
         if pairs > 6:
             break
-        over_L = inv.canonical_rbase(K, base=L).exponents
+        over_L = greedy_exponents_over(K, L)
         over_k = inv.canonical_rbase(K).exponents
         for j, e in enumerate(over_L):
             assert e <= over_k[j]
