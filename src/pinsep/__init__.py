@@ -9,7 +9,7 @@ from .exprs import parse_element, render_element
 from .invariants import (RBase, UTable, ParityLengths, canonical_rbase,
                          defining_equations, di, exponents_by_di,
                          is_equiexponential, is_modular, parity_lengths,
-                         rbase_complete, rbase_extract, rp_chain, u_table)
+                         rbase_extract, rp_chain, u_table)
 from .perfect import CapExceeded, Context, PerfElem
 from .polynomials import MultiPoly, RatFunc
 from .subfields import Subfield
@@ -20,8 +20,8 @@ __all__ = [
     "RBase", "RatFunc", "Subfield", "TowerFamily", "UTable",
     "canonical_rbase", "defining_equations", "di", "exponents_by_di",
     "family", "is_equiexponential", "is_modular", "parity_lengths",
-    "parse_element", "rbase_complete", "rbase_extract", "render_element",
-    "rp_chain", "u_table",
+    "parse_element", "rbase_extract", "render_element", "rp_chain",
+    "u_table",
 ]
 
 __version__ = "0.1.0"

@@ -43,47 +43,27 @@ class RBase:
 def rbase_extract(K: Subfield) -> RBase:
     """An r-base of K/k taken from K's generators in order (unordered).
 
-    This is rbase_complete(K, (), K.gens): the walk keeps each generator
-    outside the span of k(K^p) and the generators already kept.  Its
-    size is checked against di(K) = log_p [K : k(K^p)]; a mismatch, or a
-    walk that does not reach K, is a bug and raises InternalInconsistency.
+    The walk starts from k(K^p) and keeps each generator that enlarges
+    the field reached so far, until that field is K.  Its size is checked
+    against di(K) = log_p [K : k(K^p)]; a mismatch, or a walk that does
+    not reach K, is a bug and raises InternalInconsistency.
     """
-    try:
-        B = rbase_complete(K, (), K.gens)
-    except ValueError as exc:
-        raise InternalInconsistency(f"r-base extraction: {exc}") from exc
-    if len(B) != di(K):
-        raise InternalInconsistency(
-            f"r-base extraction found {len(B)} elements, expected {di(K)}")
-    return B
-
-
-def rbase_complete(K: Subfield, B, G) -> RBase:
-    """Complete the r-free family B to an r-base of K/k using members of G.
-
-    B must be r-free over k(K^p), which is verified by the degree test
-    [k(K^p)(B) : k(K^p)] = p^|B|; G must generate K over k(K^p).  B and
-    G must lie in K, so the completion stops once the span reaches K's
-    degree.
-    """
-    B = tuple(B)
-    base = K.frobenius_image(1)
-    current = base
-    for b in B:
-        current = current.adjoin(b)
-    if current.degree_log - base.degree_log != len(B):
-        raise ValueError("B is not r-free over k(K^p) (degree test failed)")
-    added = []
-    for g in G:
+    current = K.frobenius_image(1)
+    kept = []
+    for g in K.gens:
         if current.degree_log == K.degree_log:
             break
         nxt = current.adjoin(g)
         if nxt is not current:
-            added.append(g)
+            kept.append(g)
             current = nxt
     if current.degree_log != K.degree_log:
-        raise ValueError("G does not generate K over k(K^p)")
-    return RBase(B + tuple(added))
+        raise InternalInconsistency(
+            "r-base extraction: K.gens does not generate K over k(K^p)")
+    if len(kept) != di(K):
+        raise InternalInconsistency(
+            f"r-base extraction found {len(kept)} elements, expected {di(K)}")
+    return RBase(tuple(kept))
 
 
 def di(K: Subfield) -> int:

@@ -1,15 +1,19 @@
 """Deterministic exact linear algebra over the rational function field.
 
 Vectors are sparse dicts mapping hashable, totally ordered column keys to
-RatFunc entries.  The single engine is a reduced row echelon basis with a
-fixed pivot rule: the pivot of a row is its smallest column in the fixed
-key order, rows are processed in input order, and every pivot column is
-eliminated from all other rows.  The reduced basis of a subspace is
-therefore canonical: it depends only on the spanned subspace, never on
-the order in which generating vectors were inserted.
+RatFunc entries.  The single engine is a reduced row echelon basis with
+one pivot rule: the pivot of a row is its smallest column in the key
+order, and every pivot column is eliminated from all other rows.  The
+reduced basis of a subspace is therefore canonical: it depends only on
+the spanned subspace, never on the order in which generating vectors
+were inserted.
 
-Column keys must sort consistently; tuples of ints (monomials) and tagged
-tuples are what the callers use.
+A caller that must keep some columns from pivoting tags the keys: (0, k)
+for the columns that may pivot and (1, k) for the rest.  Tuples compare
+on their first element, so a row pivots in block 1 only when it holds no
+block-0 column; the rows pivoted in block 1 are a canonical reduced basis
+of the inserted span's vectors that vanish on block 0.  Kernels,
+intersections, truncations and inconsistent solves are read off them.
 """
 
 from __future__ import annotations
@@ -37,11 +41,8 @@ def vec_add_scaled(v: dict, w: dict, c: RatFunc) -> dict:
 
 
 class Echelon:
-    """Mutable reduced row echelon basis over sparse RatFunc vectors.
-
-    pivot_ok, when given, restricts which columns may serve as pivots;
-    rows whose support shrinks to non-pivotable columns are collected in
-    self.defective (read by nullspace, solve, intersect_spans, truncation).
+    """Mutable reduced row echelon basis over sparse RatFunc vectors; the
+    pivot of each row is its smallest column.
 
     A row dict is never mutated once it is stored: clearing a new pivot
     from a row replaces the row with a new dict.  Two echelons may
@@ -49,10 +50,8 @@ class Echelon:
     by copying its `rows` mapping.
     """
 
-    def __init__(self, pivot_ok=None):
+    def __init__(self):
         self.rows = {}            # pivot_key -> row_dict, pivot entry 1
-        self.pivot_ok = pivot_ok
-        self.defective = []       # reduced rows with no pivotable support
 
     def __len__(self):
         return len(self.rows)
@@ -83,17 +82,11 @@ class Echelon:
         return out
 
     def insert(self, v: dict) -> bool:
-        """Reduce v and add it to the basis; True iff the span grew.  A
-        defective row holds only columns that pivot_ok rejects, so it never
-        holds the new pivot and is left as it is."""
+        """Reduce v and add it to the basis; True iff the span grew."""
         r = self.reduce(v)
         if not r:
             return False
-        candidates = [k for k in r if self.pivot_ok is None or self.pivot_ok(k)]
-        if not candidates:
-            self.defective.append(r)
-            return False
-        piv = min(candidates)
+        piv = min(r)
         lead = r[piv]
         if not lead.is_one():     # r is reduce's own copy: scale in place
             inv = lead.inverse()
@@ -114,37 +107,33 @@ class Echelon:
         """The rows in increasing pivot order."""
         return [self.rows[k] for k in sorted(self.rows)]
 
+    def block1_rows(self):
+        """The rows pivoted in block 1 of tagged keys, in pivot order, with
+        the tags stripped."""
+        return [{k[1]: c for k, c in self.rows[piv].items()}
+                for piv in sorted(self.rows) if piv[0] == 1]
+
 
 def nullspace(rows, n_unknowns, p, nvars):
     """Nullspace basis of the system sum_j row[j]*x_j = 0 for each row.
 
     rows are sparse dicts {j: RatFunc}; unknown indices are 0..n-1.
-    Returned vectors are sparse dicts, each normalized so its smallest
-    unknown index carries coefficient 1; ordering is deterministic.
+    Returns the kernel's reduced basis as sparse dicts: each vector is 1
+    at its smallest unknown index and 0 at the others' smallest indices,
+    and the vectors come in increasing order of that index.
     """
-    # augment each unknown's "column vector" with a tag coordinate; rows of
-    # the transposed system that reduce to pure tags are kernel combinations
-    eqs = Echelon(pivot_ok=lambda k: k[0] == 0)
+    # unknown j enters as its column (0, i) -> rows[i][j] tagged with
+    # (1, j) -> 1; the rows pivoted among the tags are kernel combinations
     cols = {}
     for i, row in enumerate(rows):
         for j, c in row.items():
             cols.setdefault(j, {})[(0, i)] = c
-    out = []
+    ech = Echelon()
     for j in range(n_unknowns):
-        v = cols.get(j, {})
-        v = dict(v)
+        v = dict(cols.get(j, {}))
         v[(1, j)] = RatFunc.one(p, nvars)
-        before = len(eqs.defective)
-        eqs.insert(v)
-        for r in eqs.defective[before:]:
-            out.append({k[1]: c for k, c in r.items()})
-    normed = []
-    for v in out:
-        lead = min(v)
-        inv = v[lead].inverse()
-        normed.append({k: c * inv for k, c in v.items()})
-    normed.sort(key=lambda v: min(v))
-    return normed
+        ech.insert(v)
+    return ech.block1_rows()
 
 
 def solve(columns, rhs, p, nvars):
@@ -155,29 +144,24 @@ def solve(columns, rhs, p, nvars):
     unique; raises InconsistentSystem when no solution exists and
     ArithmeticError when the solution is not unique.
     """
+    # one equation per key: unknown j at (0, j), the right side at (1, 0)
     eqs = {}
     for j, col in enumerate(columns):
         for key, c in col.items():
-            eqs.setdefault(key, {})[j] = c
+            eqs.setdefault(key, {})[(0, j)] = c
     for key, c in rhs.items():
-        eqs.setdefault(key, {})["rhs"] = c
-    ech = Echelon(pivot_ok=lambda k: k != "rhs")
+        eqs.setdefault(key, {})[(1, 0)] = c
+    ech = Echelon()
     for key in sorted(eqs):
-        row = eqs[key]
-        if "rhs" in row:
-            row = dict(row)
-            row["rhs"] = -row["rhs"]
-        ech.insert(row)
-    for r in ech.defective:
-        if r:
-            raise InconsistentSystem("no solution")
+        ech.insert(eqs[key])
+    if (1, 0) in ech.rows:
+        raise InconsistentSystem("no solution")
     if len(ech) < len(columns):
         raise ArithmeticError("solution is not unique")
     zero = RatFunc.zero(p, nvars)
     xs = [zero] * len(columns)
-    for piv, row in ech.rows.items():
-        val = row.get("rhs", zero)
-        xs[piv] = -val
+    for (_, j), row in ech.rows.items():
+        xs[j] = row.get((1, 0), zero)
     return xs
 
 
@@ -185,23 +169,15 @@ def intersect_spans(rows_a, rows_b):
     """Canonical reduced basis of span(rows_a) ∩ span(rows_b).
 
     Zassenhaus augmentation: rows of a enter as [v | v], rows of b as
-    [v | 0]; combinations whose left half vanishes have their right half
-    in the intersection.  The collected vectors can be dependent (a b-row
-    lying in the span of a plus earlier b-rows), so they are re-reduced
-    into a fresh echelon before returning.
+    [v | 0], the left half tagged 0 and the right half 1.  A vector of
+    the joint span whose left half vanishes has its right half in the
+    intersection, so the rows pivoted in the right half are its basis.
     """
-    ech = Echelon(pivot_ok=lambda k: k[0] == 0)
+    ech = Echelon()
     for v in rows_a:
         aug = {(0, k): c for k, c in v.items()}
         aug.update({(1, k): c for k, c in v.items()})
         ech.insert(aug)
-    found = Echelon()
     for v in rows_b:
-        aug = {(0, k): c for k, c in v.items()}
-        before = len(ech.defective)
-        ech.insert(aug)
-        for r in ech.defective[before:]:
-            vec = {k[1]: c for k, c in r.items()}
-            if vec:
-                found.insert(vec)
-    return found.basis_rows()
+        ech.insert({(0, k): c for k, c in v.items()})
+    return ech.block1_rows()

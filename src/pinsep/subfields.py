@@ -17,8 +17,8 @@ basis, the base field's one row included, is built on first use, checked
 to have exactly that dimension, and never changes afterwards.  K(e)'s
 build starts from K's reduced rows and inserts only the products with
 e, e^2, ....  Each field memoizes its adjunctions K(e), its Frobenius
-images k(K^(p^j)) and its greedy r-base, so each is built at most
-once.  A span adjoins in greedy order (largest relative exponent first),
+images k(K^(p^j)), its compositum and intersection with each field L
+and its greedy r-base, so each is built at most once.  A span adjoins in greedy order (largest relative exponent first),
 so its one chain of fields yields, and keeps, the greedy r-base.
 
 Questions that levels alone settle never build a basis: an element of
@@ -338,16 +338,24 @@ class Subfield:
     # -- lattice operations ------------------------------------------------
 
     def compositum(self, other: "Subfield") -> "Subfield":
+        """KL, memoized on K per generators of L."""
         self._check(other)
-        return Subfield.span(self.ctx, self.gens + other.gens)
+        return self.memo(("compositum", other.gens), lambda: Subfield.span(
+            self.ctx, self.gens + other.gens))
 
     def intersect(self, other: "Subfield") -> "Subfield":
+        """K ∩ L, memoized on K per generators of L."""
         self._check(other)
-        m = max(self.level, other.level)
-        vecs = intersect_spans(self.basis_vectors(m), other.basis_vectors(m))
-        if not vecs:
-            raise InternalInconsistency("field intersection lost the unit")
-        return Subfield._from_vectors(self.ctx, m, vecs)
+
+        def build():
+            m = max(self.level, other.level)
+            vecs = intersect_spans(self.basis_vectors(m),
+                                   other.basis_vectors(m))
+            if not vecs:
+                raise InternalInconsistency("field intersection lost the unit")
+            return Subfield._from_vectors(self.ctx, m, vecs)
+
+        return self.memo(("intersect", other.gens), build)
 
     def frobenius_image(self, j: int) -> "Subfield":
         """k(K^(p^j)), spanned by the p^j-th powers of the generators.
@@ -373,8 +381,9 @@ class Subfield:
         Each row of K's reduced basis is 1 at its own pivot and 0 at the
         other rows' pivots, so an element of K ∩ A_n, being 0 at every
         pivot outside A_n, is a combination of the rows pivoted inside
-        A_n.  Those rows go into an echelon that pivots only outside A_n;
-        the rows it leaves defective are a basis of k_n.
+        A_n.  Those rows go into an echelon with the columns outside A_n
+        tagged 0 and those inside tagged 1; the rows it pivots in block 1
+        are a basis of k_n.
         """
         if n < 0:
             raise ValueError("truncation level must be nonnegative")
@@ -385,11 +394,12 @@ class Subfield:
         def outside(e):
             return any(x % step for x in e)
 
-        ech = Echelon(pivot_ok=outside)
+        ech = Echelon()
         for piv, row in sorted(self._echelon.rows.items()):
             if not outside(piv):
-                ech.insert(row)
-        field = Subfield._from_vectors(self.ctx, self.level, ech.defective)
+                ech.insert({(0 if outside(e) else 1, e): c
+                            for e, c in row.items()})
+        field = Subfield._from_vectors(self.ctx, self.level, ech.block1_rows())
         if field.level > n:
             raise InternalInconsistency("truncation left elements above the cut")
         return field

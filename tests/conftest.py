@@ -105,12 +105,17 @@ def greedy_exponents_over(K, L):
     return tuple(o for _, o in greedy_rbase_over(K, L))
 
 
-def rank(vectors) -> int:
-    """Rank of a family of sparse vectors, through a fresh echelon."""
+def echelon_of(vectors) -> Echelon:
+    """A fresh echelon holding the span of the given sparse vectors."""
     e = Echelon()
     for v in vectors:
         e.insert(v)
-    return len(e)
+    return e
+
+
+def rank(vectors) -> int:
+    """Rank of a family of sparse vectors, through a fresh echelon."""
+    return len(echelon_of(vectors))
 
 
 def partial_derivative(f, i):

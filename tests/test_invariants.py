@@ -34,7 +34,7 @@ def section5(ctx):
 
 
 # ----------------------------------------------------------------------
-# r-base extraction and completion
+# r-base extraction
 # ----------------------------------------------------------------------
 
 
@@ -101,24 +101,6 @@ def test_rbase_extract_failures_are_internal(ctx, monkeypatch):
     monkeypatch.setattr(Subfield, "adjoin", lambda self, e: self)
     with pytest.raises(InternalInconsistency, match="does not generate"):
         inv.rbase_extract(K)
-
-
-def test_rbase_complete(ctx):
-    K = Subfield.span(ctx, roots(ctx, [("X", 1), ("Y", 1)]))
-    full = inv.rbase_complete(K, K.gens, K.gens)
-    assert set(full.elements) == set(K.gens)
-    partial = inv.rbase_complete(K, [K.gens[0]], K.gens)
-    assert partial.elements == (K.gens[0], K.gens[1])
-    from_empty = inv.rbase_complete(K, [], K.gens)
-    assert set(from_empty.elements) == set(inv.rbase_extract(K).elements)
-
-
-def test_rbase_complete_rejects_bound_family(ctx):
-    K = Subfield.span(ctx, roots(ctx, [("X", 2)]))
-    bad = [ctx.root_of_variable("X", 2),
-           ctx.root_of_variable("X", 2) + ctx.one()]
-    with pytest.raises(ValueError):
-        inv.rbase_complete(K, bad, K.gens)
 
 
 def test_rbase_cardinality_invariance(ctx, small_corpus):

@@ -9,7 +9,7 @@ from pinsep.linalg import (Echelon, InconsistentSystem, intersect_spans,
                            nullspace, solve, vec_add_scaled)
 from pinsep.polynomials import MultiPoly, RatFunc
 
-from conftest import rank
+from conftest import echelon_of, rank
 
 
 def c(v, p=3, nv=1):
@@ -146,20 +146,30 @@ def test_solve_substitute_residual_zero_randomized():
        st.lists(st.dictionaries(st.integers(0, 5), st.integers(1, 2),
                                 max_size=4), max_size=6))
 @settings(max_examples=100, deadline=None)
-def test_defective_rows_hold_no_pivotable_column(accepted, vectors):
-    """After every insert, each defective row lives on rejected columns
-    only (so a new pivot never reaches it), and the basis rows together
-    with the defective rows span exactly what was inserted."""
+def test_block1_rows_hold_no_block0_column(block0, vectors):
+    """With the columns in block0 tagged 0 and the rest 1: after every
+    insert, each row pivots on its smallest column, each row pivoted in
+    block 1 holds no block-0 column, the rows span exactly what was
+    inserted, and the block-1 rows span its vectors that vanish on
+    block 0 (dimension: rank minus the rank of the block-0 parts)."""
     x = x_poly()
-    vecs = [{k: c(v) * x if k % 2 else c(v) for k, v in d.items()}
-            for d in vectors]
-    ech = Echelon(pivot_ok=lambda k: k in accepted)
+    vecs = [{(0 if k in block0 else 1, k): c(v) * x if k % 2 else c(v)
+             for k, v in d.items()} for d in vectors]
+    ech = Echelon()
     for i, v in enumerate(vecs):
-        ech.insert(v)
-        for row in ech.defective:
-            assert row and not any(k in accepted for k in row)
-        kept = list(ech.rows.values()) + ech.defective
-        assert rank(kept) == rank(vecs[:i + 1]) == rank(kept + vecs[:i + 1])
+        inserted = vecs[:i + 1]
+        assert ech.insert(v) == (rank(inserted) > rank(vecs[:i]))
+        block1 = []
+        for piv, row in ech.rows.items():
+            assert piv == min(row) and row[piv].is_one()
+            if piv[0] == 1:
+                assert all(k[0] == 1 for k in row)
+                block1.append(row)
+        kept = list(ech.rows.values())
+        assert rank(kept) == rank(inserted) == rank(kept + inserted)
+        block0_parts = [{k: a for k, a in w.items() if k[0] == 0}
+                        for w in inserted]
+        assert len(block1) == rank(inserted) - rank(block0_parts)
 
 
 def reduce_by_vec_add_scaled(ech, v):
@@ -175,26 +185,58 @@ sparse_vectors = st.lists(
                     max_size=5), max_size=8)
 
 
+def sparse_vec(d):
+    """A sparse vector from a draw of sparse_vectors: entry (a, e) is
+    a * (1, x or 1/(x + 1))[e] over F_3(x)."""
+    x = x_poly()
+    entries = (c(1), x, (x + c(1)).inverse())
+    return {k: c(a) * entries[e] for k, (a, e) in d.items()}
+
+
 @given(sparse_vectors, sparse_vectors)
 @settings(max_examples=100, deadline=None)
 def test_reduce_in_place_matches_reference(basis, queries):
     """In-place reduce equals the vec_add_scaled reduction and leaves its
     argument alone; stored rows are never mutated by later inserts."""
-    x = x_poly()
-    entries = (c(1), x, (x + c(1)).inverse())
-
-    def vec(d):
-        return {k: c(a) * entries[e] for k, (a, e) in d.items()}
-
     ech = Echelon()
     stored = []
     for d in basis:
-        ech.insert(vec(d))
+        ech.insert(sparse_vec(d))
         stored.extend((row, dict(row)) for row in ech.rows.values())
     for row, copy in stored:
         assert row == copy
     for d in queries:
-        v = vec(d)
+        v = sparse_vec(d)
         before = dict(v)
         assert ech.reduce(v) == reduce_by_vec_add_scaled(ech, v)
         assert v == before
+
+
+@given(sparse_vectors, sparse_vectors)
+@settings(max_examples=50, deadline=None)
+def test_intersect_spans_dimension_formula(rows_a, rows_b):
+    """Every returned row lies in both spans, the rows are independent,
+    and dim(A ∩ B) = dim A + dim B - dim(A + B)."""
+    a, b = [sparse_vec(d) for d in rows_a], [sparse_vec(d) for d in rows_b]
+    got = intersect_spans(a, b)
+    span_a, span_b = echelon_of(a), echelon_of(b)
+    assert all(span_a.member(v) and span_b.member(v) for v in got)
+    assert rank(got) == len(got) == len(span_a) + len(span_b) - rank(a + b)
+
+
+@given(sparse_vectors, st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_nullspace_annihilates_rows(rows, n):
+    """Every kernel vector annihilates every row, there are n - rank of
+    them, and each is 1 at its smallest index."""
+    eqs = [{j: a for j, a in sparse_vec(d).items() if j < n} for d in rows]
+    kernel = nullspace(eqs, n, 3, 1)
+    for lam in kernel:
+        assert lam[min(lam)].is_one()
+        for row in eqs:
+            acc = c(0)
+            for j, a in row.items():
+                if j in lam:
+                    acc = acc + a * lam[j]
+            assert acc.is_zero()
+    assert len(kernel) == rank(kernel) == n - rank(eqs)

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinsep import linalg, subfields
+from pinsep import linalg, report, subfields
 from pinsep.linalg import Echelon, nullspace, vec_add_scaled
 from pinsep.perfect import Context
 from pinsep.polynomials import RatFunc
@@ -163,6 +163,29 @@ def test_degree_multiplicativity_randomized():
         assert rank(vecs) == comp.degree
 
 
+@pytest.mark.parametrize("op", ["intersect", "compositum"])
+def test_lattice_report_builds_each_lattice_field_once(op, monkeypatch):
+    """The report's result and its disjointness verdict share one
+    compositum span and one intersect_spans elimination."""
+    fam = family("exe2", n=3)
+    K, L = fam.stage(2), fam.stage(3)
+    spans, eliminations = [], []
+    real_span, real_intersect = Subfield.span.__func__, subfields.intersect_spans
+
+    def span(cls, ctx, gens):
+        spans.append(gens)
+        return real_span(cls, ctx, gens)
+
+    def intersect_spans(rows_a, rows_b):
+        eliminations.append(rows_a)
+        return real_intersect(rows_a, rows_b)
+
+    monkeypatch.setattr(Subfield, "span", classmethod(span))
+    monkeypatch.setattr(subfields, "intersect_spans", intersect_spans)
+    report.lattice_report(op, K, L, ("exe2:2", "exe2:3"))
+    assert len(spans) == 1 and len(eliminations) == 1
+
+
 # ----------------------------------------------------------------------
 # frobenius_image
 # ----------------------------------------------------------------------
@@ -279,7 +302,7 @@ def check_truncations(K, renders=False):
 def test_truncation_matches_nullspace_route(small_corpus):
     """k_n from the pivoted rows equals the equation-scan reference, and
     its generators are k_n's reduced basis in pivot order (exe2's k_2 is
-    one where the defective rows are not that basis)."""
+    one where the rows of K pivoted inside A_2 are not that basis)."""
     stages = [family(name, n=3).stage(3) for name in ("exe1", "exe2", "exe4")]
     for K in small_corpus + stages:
         check_truncations(K, renders=True)
