@@ -265,13 +265,10 @@ class VariableCountMismatch(ValueError):
 # go negative), and gcd(h, c*x^a) = x^min(a, monomial content of h).
 # Otherwise exact division uses the ordinary one-divisor division
 # algorithm in graded-lex order, and the gcd is the classical recursive
-# scheme: strip monomial content, take as the main variable the active
-# one of least degree (the highest on ties), split into content and
-# primitive part, and run the subresultant pseudo-remainder sequence on
-# the primitive parts: it divides each remainder by a factor known in
-# advance, where taking each remainder's content (a gcd per coefficient)
-# can run for minutes on inputs of a few terms.  This is the one route
-# for every gcd without a single-term argument, univariate ones
+# scheme: strip monomial content, pick the highest active variable as the
+# main one, split into content and primitive part, and run a primitive
+# pseudo-remainder sequence on the primitive parts.  This is the one
+# route for every gcd without a single-term argument, univariate ones
 # included: there the coefficients in the main variable are constants.
 # All choices are deterministic and results are normalized monic in
 # graded-lex.
@@ -362,23 +359,17 @@ def _uni_trim(u):
     return u
 
 
-def _uni_prem(a, b):
-    """lc(b)^(deg a - deg b + 1) * a mod b, for dense univariate a and b
-    over the polynomial ring with deg a >= deg b."""
+def _uni_prem(a, b, p, nv):
+    """Pseudo-remainder of dense univariate a by b over the polynomial ring."""
     a = list(a)
-    lc_b = b[-1]
-    owed = len(a) - len(b) + 1      # factors lc(b) the remainder must carry
     while len(a) >= len(b) and a:
         lc_a = a[-1]
+        lc_b = b[-1]
         shift = len(a) - len(b)
         a = [lc_b * c for c in a]
         for j, bc in enumerate(b):
             a[shift + j] = a[shift + j] - lc_a * bc
         _uni_trim(a)
-        owed -= 1
-    if owed and a:
-        scale = lc_b ** owed
-        a = [scale * c for c in a]
     return a
 
 
@@ -401,8 +392,8 @@ def _make_monic(f: MultiPoly) -> MultiPoly:
 
 
 def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic gcd: direct for a single-term argument, else the subresultant
-    PRS on the recursive dense form."""
+    """Monic gcd: direct for a single-term argument, else primitive PRS
+    on the recursive dense form."""
     if f.p != g.p or f.nvars != g.nvars:
         raise ValueError("gcd of incompatible polynomials")
     if f.is_zero():
@@ -431,8 +422,7 @@ def _gcd_core(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return MultiPoly.one(p, nv)
     if f == g:
         return f
-    i = min(f.variables_used() | g.variables_used(),
-            key=lambda v: (max(f.degree_in(v), g.degree_in(v)), -v))
+    i = max(f.variables_used() | g.variables_used())
     uf = _to_univariate(f, i)
     ug = _to_univariate(g, i)
     cont_f = _uni_content(uf)
@@ -447,30 +437,23 @@ def _gcd_core(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def _prs(a, b, p, nv):
-    """Subresultant pseudo-remainder sequence: the last nonzero term.
+    """Primitive pseudo-remainder sequence; returns the last nonzero term.
 
-    Each pseudo-remainder is divided by g * h^delta, g the leading
-    coefficient of the divisor before it and h the running subresultant
-    factor, which divides every coefficient exactly (Brown and Traub
-    1971); degrees strictly decrease, and the last nonzero term is the
-    gcd of the primitive inputs up to content.
+    Each pseudo-remainder is divided by its full content, so every
+    division is exact by construction; degrees strictly decrease, and the
+    last nonzero term is the gcd of the primitive inputs up to content.
     """
     one = MultiPoly.one(p, nv)
-    if len(a) < len(b):
-        a, b = b, a
-    g = h = one
     while True:
-        delta = len(a) - len(b)
-        r = _uni_prem(a, b)
+        r = _uni_prem(a, b, p, nv)
         if not r:
             return b
-        if len(r) == 1:
+        if len(b) == 1:
             return [one]
-        div = g * h ** delta
-        a, b = b, [mp_exact_div(c, div) for c in r]
-        g = a[-1]
-        if delta:
-            h = mp_exact_div(g ** delta, h ** (delta - 1))
+        cont = _uni_content(r)
+        if not cont.is_one():
+            r = [mp_exact_div(c, cont) for c in r]
+        a, b = b, r
 
 
 # ----------------------------------------------------------------------

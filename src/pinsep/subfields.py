@@ -16,12 +16,10 @@ degree is known from the tower law as soon as it is constructed; its
 basis, the base field's one row included, is built on first use, checked
 to have exactly that dimension, and never changes afterwards.  K(e)'s
 build starts from K's reduced rows and inserts only the products with
-e, e^2, ...; a K(e) with the degree of A_m is A_m, whose basis is the
-t-monomials.  Each field memoizes its adjunctions K(e), its Frobenius
+e, e^2, ....  Each field memoizes its adjunctions K(e), its Frobenius
 images k(K^(p^j)), its compositum and intersection with each field L
-and its greedy r-base, so each is built at most once.  A span adjoins
-in greedy order (largest relative exponent first), so its one chain of
-fields yields, and keeps, the greedy r-base.
+and its greedy r-base, so each is built at most once.  A span adjoins in greedy order (largest relative exponent first),
+so its one chain of fields yields, and keeps, the greedy r-base.
 
 Questions that levels alone settle never build a basis: an element of
 level 0 lies in k and so in every field, an element above a field's
@@ -30,8 +28,6 @@ a^(p^level(a)) lies in k.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .linalg import Echelon, intersect_spans
 from .perfect import Context, PerfElem
@@ -234,10 +230,7 @@ class Subfield:
         It then inserts only the layers 1 <= l < p^r and checks that each
         insert grows the span.  That check catches an r that is too large
         when the basis is built; an r that is too small goes undetected
-        and yields a proper subspace of K(e), not a field.  When the
-        degree is that of A_m and r is at most the level of e (as o(e/K)
-        always is), K(e) is A_m and its basis is the t-monomials, with
-        no product formed: then a too-large r goes undetected too.
+        and yields a proper subspace of K(e), not a field.
 
         The result is memoized on K per e, so each field of a chain is
         constructed, and its basis built, once.
@@ -252,15 +245,8 @@ class Subfield:
         ctx.check_level(m)
 
         def build():
-            ech = Echelon()
-            if self.degree_log + r == m * ctx.nvars and r <= e.level:
-                # K(e) has the degree of A_m, so it is A_m: its reduced
-                # basis is the t-monomials, with no product to reduce
-                one = RatFunc.one(ctx.p, ctx.nvars)
-                ech.rows = {ex: {ex: one} for ex in
-                            product(range(ctx.p ** m), repeat=ctx.nvars)}
-                return ech
             factor = ctx.p ** (m - self.level)
+            ech = Echelon()
             layer = []
             for piv, row in sorted(self._echelon.rows.items()):
                 row = _lift_vec(row, factor)

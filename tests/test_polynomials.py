@@ -172,34 +172,6 @@ def test_gcd_of_coprime_is_one():
     assert mp_gcd(x + one, y + one).is_one()
 
 
-def test_gcd_of_elimination_inputs_with_high_remainder_swell():
-    """Coprime pairs met while reducing the products of a field equal to
-    A_2 over F_2(X, Y, Z).  Taking each remainder's content ran for 12 s
-    on the first pair and over 2 min on the second; the subresultant
-    sequence answers both in milliseconds.  A common factor h comes back
-    as the gcd."""
-    def ones(*exps):
-        return poly(2, 3, dict.fromkeys(exps, 1))
-
-    pairs = [
-        (ones((0, 1, 5), (1, 0, 0), (3, 0, 6)),
-         ones((0, 0, 0), (0, 3, 6), (1, 0, 3), (1, 2, 1), (1, 5, 7),
-              (1, 11, 6), (2, 5, 10), (2, 13, 7), (3, 2, 7), (3, 13, 10))),
-        (ones((0, 4, 1), (0, 7, 7), (1, 0, 3), (1, 3, 9), (1, 4, 4),
-              (1, 9, 8), (1, 15, 7), (2, 0, 6), (2, 2, 4), (2, 5, 10),
-              (2, 9, 11), (2, 11, 9), (2, 14, 2), (2, 17, 8), (3, 3, 2),
-              (3, 5, 13), (3, 9, 1), (3, 13, 10), (3, 17, 11), (4, 2, 10),
-              (4, 3, 5), (4, 5, 3), (4, 8, 9), (4, 13, 13), (4, 14, 8),
-              (4, 17, 1), (5, 8, 12), (5, 16, 9), (6, 5, 9), (6, 16, 12)),
-         ones((0, 2, 0), (0, 5, 6), (1, 2, 3), (1, 4, 1), (1, 7, 7),
-              (1, 13, 6), (2, 7, 10), (2, 15, 7), (3, 4, 7), (3, 15, 10))),
-    ]
-    h = ones((1, 1, 0), (0, 0, 2), (0, 0, 0))
-    for f, g in pairs:
-        assert mp_gcd(f, g).is_one()
-        assert mp_gcd(f * h, g * h) == _make_monic(h)
-
-
 @st.composite
 def single_terms(draw, p, nvars, max_deg=3):
     """A nonzero one-term polynomial c*x^a."""

@@ -518,32 +518,6 @@ def test_adjoin_checks_tower_law(ctx, monkeypatch):
         K.adjoin(e).basis_vectors()
 
 
-@pytest.mark.parametrize("p,names,spec", [
-    (2, ("X", "Y"), [("X", 1), ("Y", 1)]),
-    (3, ("X", "Y"), [("X", 1), ("Y", 1)]),
-    (2, ("X", "Y", "Z"), [("X", 2), ("Y", 2), ("Z", 2)]),
-], ids=["F2(X,Y)", "F3(X,Y)", "F2(X,Y,Z)"])
-def test_full_level_field_is_the_monomials(p, names, spec, monkeypatch):
-    """K(e) with the degree of A_m is A_m: its basis, built with no
-    insert, is the t-monomials and equals the reference build of every
-    product b*e^l, with e a sum of two monomials."""
-    big = Context(p, names)
-    gens = roots(big, spec)
-    e = gens[-1] + gens[0] * gens[-2]
-    F = Subfield.span(big, gens[:-1])
-    r = F.rel_exponent(e)
-    reference = adjoin_rows_from_scratch(F, e, r)
-    F.basis_vectors()
-    calls = []
-    real = Echelon.insert
-    monkeypatch.setattr(Echelon, "insert",
-                        lambda self, v: calls.append(v) or real(self, v))
-    K = F._adjoin_by(e, r)
-    assert K.degree_log == K.level * big.nvars
-    assert sorted(K._echelon.rows.items()) == sorted(reference.items())
-    assert calls == []
-
-
 def test_degree_over_lifted_base(ctx):
     # K = k(X^(1/4)): [A_1(K) : A_1] = 2 (only X^(1/4) survives)
     K = Subfield.span(ctx, roots(ctx, [("X", 2)]))
