@@ -141,9 +141,9 @@ class PerfElem:
             return self.ctx.one()
         if n < 0:
             return self.inverse() ** (-n)
-        num = self.body.num ** n
-        den = self.body.den ** n
-        return PerfElem(self.ctx, self.level, RatFunc(num, den))
+        # powers of coprime polynomials stay coprime, and of a monic one monic
+        body = RatFunc(self.body.num ** n, self.body.den ** n, _normalized=True)
+        return PerfElem(self.ctx, self.level, body)
 
     def frob(self, j: int) -> "PerfElem":
         """Apply the p^j-power map; j < 0 takes p-th roots.

@@ -267,11 +267,15 @@ class VariableCountMismatch(ValueError):
 # algorithm in graded-lex order, and the gcd is the classical recursive
 # scheme: strip monomial content, pick the highest active variable as the
 # main one, split into content and primitive part, and run a primitive
-# pseudo-remainder sequence on the primitive parts.  This is the one
-# route for every gcd without a single-term argument, univariate ones
-# included: there the coefficients in the main variable are constants.
-# All choices are deterministic and results are normalized monic in
-# graded-lex.
+# pseudo-remainder sequence on the primitive parts.  The sequence ends at
+# the first zero remainder, and its divisor is the gcd up to content; a
+# divisor of degree 0 in the main variable always leaves remainder 0, so
+# coprime inputs end there.  This is the one route for every gcd without
+# a single-term argument, univariate ones included: there the
+# coefficients in the main variable are constants.  All choices are
+# deterministic and results are normalized monic in graded-lex.
+# RatFunc runs them once per fraction it makes, and not at all where
+# the operands' canonical forms already settle the result.
 # ----------------------------------------------------------------------
 
 
@@ -443,13 +447,10 @@ def _prs(a, b, p, nv):
     division is exact by construction; degrees strictly decrease, and the
     last nonzero term is the gcd of the primitive inputs up to content.
     """
-    one = MultiPoly.one(p, nv)
     while True:
         r = _uni_prem(a, b, p, nv)
         if not r:
             return b
-        if len(b) == 1:
-            return [one]
         cont = _uni_content(r)
         if not cont.is_one():
             r = [mp_exact_div(c, cont) for c in r]
@@ -529,7 +530,9 @@ class RatFunc:
             return RatFunc(self.num + other.num, self.den)
         # shared denominator factors are the norm during elimination;
         # splitting them off first keeps the reduction gcds small, and the
-        # residual common factor of the sum can only divide the shared part
+        # residual common factor of the sum can only divide the shared part;
+        # a sum of zero would need da = db = 1, the equal-denominator case,
+        # and den, built from monic factors and quotients, stays monic
         g = mp_gcd(self.den, other.den)
         if g.is_one():
             return RatFunc(self.num * other.den + other.num * self.den,
@@ -537,17 +540,11 @@ class RatFunc:
         da = mp_exact_div(self.den, g)
         db = mp_exact_div(other.den, g)
         num = self.num * db + other.num * da
-        if num.is_zero():
-            return RatFunc.zero(self.p, self.nvars)
         h = mp_gcd(num, g)
         den = self.den * db
         if not h.is_one():
             num = mp_exact_div(num, h)
             den = mp_exact_div(den, h)
-        _, lc = den.leading()
-        if lc != 1:
-            inv = pow(lc, self.p - 2, self.p)
-            num, den = num.scale(inv), den.scale(inv)
         return RatFunc(num, den, _normalized=True)
 
     def __neg__(self):
@@ -565,7 +562,8 @@ class RatFunc:
             return self
         if self.den.is_one() and other.den.is_one():
             return RatFunc.of_poly(self.num * other.num)
-        # cross-cancel before multiplying to keep the factors small
+        # cross-cancel before multiplying to keep the factors small; the
+        # quotients of the monic denominators stay monic, and so does b * d
         a, b = self.num, other.den
         g1 = mp_gcd(a, b)
         if not g1.is_one():
@@ -574,13 +572,7 @@ class RatFunc:
         g2 = mp_gcd(c, d)
         if not g2.is_one():
             c, d = mp_exact_div(c, g2), mp_exact_div(d, g2)
-        num = a * c
-        den = b * d
-        _, lc = den.leading()
-        if lc != 1:
-            inv = pow(lc, self.p - 2, self.p)
-            num, den = num.scale(inv), den.scale(inv)
-        return RatFunc(num, den, _normalized=True)
+        return RatFunc(a * c, b * d, _normalized=True)
 
     def inverse(self):
         if self.is_zero():
@@ -603,8 +595,11 @@ class RatFunc:
 
     def divide_exponents(self, k: int):
         # for a reduced fraction, membership in F_p(x^k) with k a p-power is
-        # exactly "all exponents of num and den divisible by k"
-        return RatFunc(self.num.divide_exponents(k), self.den.divide_exponents(k))
+        # exactly "all exponents of num and den divisible by k"; a common
+        # factor h of the k-th roots would make h^k divide num and den,
+        # and dividing exponents keeps the graded-lex leading term
+        return RatFunc(self.num.divide_exponents(k), self.den.divide_exponents(k),
+                       _normalized=True)
 
     # -- comparison -----------------------------------------------------
 

@@ -46,40 +46,31 @@ class InternalInconsistency(AssertionError):
 def to_vector(e: PerfElem, m: int) -> dict:
     """Coordinates of e over k in the t-monomial basis of A_m.
 
-    Denominators are rationalized with den(t)^(p^m) = den read in x
-    (exponent tuples unchanged), writing 1/den = den^(p^m - 1) / den_x;
-    the power is assembled from Frobenius-scaled copies of den^(p-1), so
-    it is a product of m small factors rather than a blind exponentiation.
+    With q = p^m, e = num(t)/den(t) = num(t) den(t)^(q-1) / den(t)^q, and
+    den(t)^q is den read in x: the same exponent tuples, so the same
+    MultiPoly.  den^(q-1) is the product of the m Frobenius-scaled copies
+    of den^(p-1).  A term c t^a of num den^(q-1) is c x^(a // q) t^(a % q),
+    so the terms grouped by a % q give one polynomial in x per coordinate,
+    and each coordinate is that polynomial over den, normalized once.
+    Two terms with the same a % q differ in a // q, so nothing cancels.
     """
     ctx = e.ctx
     p = ctx.p
     q = p ** m
     body = e.body_at_level(m)
     num, den = body.num, body.den
-    inv_den = None
+    plain = den.is_one()
     poly = num
-    if not den.is_one():
-        shift = p ** (m - e.level)
-        block = e.body.den ** (p - 1)  # at the element's own minimal level
+    if not plain:
+        block = den ** (p - 1)
         for j in range(m):
-            poly = poly * block.scale_exponents(shift * p ** j)
-        # den(t)^(p^m): each t-term t^a maps to x^a, same term dict
-        den_x = MultiPoly(p, ctx.nvars, dict(den.terms))
-        inv_den = RatFunc.of_poly(den_x).inverse()
-    vec: dict = {}
+            poly = poly * block.scale_exponents(p ** j)
+    coords: dict = {}
     for ex, c in poly.terms.items():
-        carry = tuple(x // q for x in ex)
         rem = tuple(x % q for x in ex)
-        coeff = RatFunc.monomial(p, ctx.nvars, carry, c)
-        if inv_den is not None:
-            coeff = coeff * inv_den
-        prev = vec.get(rem)
-        s = coeff if prev is None else prev + coeff
-        if s.is_zero():
-            vec.pop(rem, None)
-        else:
-            vec[rem] = s
-    return vec
+        coords.setdefault(rem, {})[tuple(x // q for x in ex)] = c
+    return {rem: RatFunc(MultiPoly(p, ctx.nvars, terms), den, _normalized=plain)
+            for rem, terms in coords.items()}
 
 
 def from_vector(ctx: Context, vec: dict, m: int) -> PerfElem:

@@ -130,17 +130,9 @@ def modular_diag(t: int = 2, m: int = 3, p: int = 2) -> TowerFamily:
 
     return TowerFamily("modular_diag", ctx, schedule, m,
                        params={"t": t, "m": m, "p": p},
-                       predicted=lambda fam, s, n: _diag_predicted(fam, s, n),
                        claims_builder=claims_builder,
                        notes="tensor product of t simple extensions of "
                              "exponent m; truncations have degree p^(t*n)")
-
-
-def _diag_predicted(fam, s, n):
-    if s != 0:
-        raise ValueError("predicted truncations only at base level (s = 0)")
-    m = fam.params["m"]
-    return [fam.ctx.root_of_variable(v, min(n, m)) for v in fam.ctx.variables]
 
 
 # ----------------------------------------------------------------------
@@ -177,14 +169,6 @@ def nonmodular_basic(p: int = 2) -> TowerFamily:
                        claims_builder=claims_builder,
                        notes="smallest non-modular example: the defining "
                              "equation has coefficients outside K^p")
-
-
-def _stage_predicted(fam, s, k):
-    """Generators of k^(1/p^k) ∩ K for a family whose truncations are its
-    own stages: those of K_k."""
-    if s != 0:
-        raise ValueError("predicted truncations only at base level (s = 0)")
-    return fam.generators(k)
 
 
 def _truncation_identity(fam):
@@ -262,7 +246,6 @@ def exe1(n: int = 3, p: int = 2) -> TowerFamily:
         ]
 
     return TowerFamily("exe1", ctx, schedule, n, params={"n": n, "p": p},
-                       predicted=_stage_predicted,
                        claims_builder=claims_builder,
                        notes="lq-finite tower whose degree of irrationality "
                              "grows with the stage; stage 1 is the finite "
@@ -313,7 +296,6 @@ def exe2(n: int = 3, p: int = 2) -> TowerFamily:
         ]
 
     return TowerFamily("exe2", ctx, schedule, n, params={"n": n, "p": p},
-                       predicted=_stage_predicted,
                        claims_builder=claims_builder,
                        notes="lq-finite tower witnessing that lq-finiteness "
                              "is not transitive in the limit")
@@ -369,7 +351,6 @@ def exe4(n: int = 3, p: int = 2) -> TowerFamily:
         ]
 
     return TowerFamily("exe4", ctx, schedule, n, params={"n": n, "p": p},
-                       predicted=_stage_predicted,
                        claims_builder=claims_builder,
                        notes="lq-finite but not absolutely lq-finite; the "
                              "theta_i form an unbounded r-base over k(K^p)")

@@ -54,6 +54,18 @@ random_fields = st.builds(random_field, st.randoms(use_true_random=False)
                           ).filter(lambda K: K is not None)
 
 
+@st.composite
+def quotients(draw, ctx):
+    """a/b of random elements (b = 1 if it drew 0), so the body carries a
+    real denominator.  Levels stay <= 2 for p = 2 and <= 1 for p = 3, so
+    that den^(p^m - 1) stays small two levels above the element's."""
+    rng = draw(st.randoms(use_true_random=False))
+    top = 2 if ctx.p == 2 else 1
+    a = random_element(ctx, rng, top, max_terms=2)
+    b = random_element(ctx, rng, top, max_terms=2)
+    return a if b.is_zero() else a / b
+
+
 def field_corpus(seed, count):
     rng = random.Random(seed)
     out = []

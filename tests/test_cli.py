@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from pinsep import report, towers
 from pinsep.cli import ConfigError, build_parser, load_config, main
+from pinsep.subfields import InternalInconsistency
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -325,6 +327,89 @@ def test_pinned_claims_stdout():
     assert run_cli("--json", *argv) == (0, PINNED_CLAIMS_JSON, "")
 
 
+# Text stdout of built-in commands whose reports no golden pins.
+PINNED_BUILTIN_TEXT = [
+    pytest.param(["modular", "exe4:3", "--method", "both"], """\
+modular (both): False
+  witness: Z1 not in K^(p^1)
+""", id="modular_exe4_both"),
+    pytest.param(["modular", "nonmodular_basic", "--method", "disjointness"],
+                 """\
+modular (disjointness): False
+  witness: [k^(1/p^1)(K) : k^(1/p^1)] = p^1 but [K : k_1] = p^2
+""", id="modular_nonmodular_disjointness"),
+]
+
+
+@pytest.mark.parametrize("argv,text", PINNED_BUILTIN_TEXT)
+def test_pinned_builtin_text(argv, text):
+    assert run_cli(*argv) == (0, text, "")
+
+
+def test_oracle_rbase_prints_the_plain_report():
+    plain = run_cli("rbase", "exe4:3")
+    assert plain[0] == 0 and plain[1].startswith("canonical r-base of exe4:3:")
+    assert run_cli("--oracle", "rbase", "exe4:3") == plain
+
+
+def test_oracle_disagreement_exits_4(monkeypatch):
+    def disagree(K):
+        raise InternalInconsistency("exponent computations disagree")
+
+    monkeypatch.setattr(report, "oracle_checks", disagree)
+    assert run_cli("--oracle", "rbase", "exe4:3") == (
+        4, "", "error[internal-inconsistency]: exponent computations "
+               "disagree\n")
+
+
+def test_failing_family_claim_exits_4(monkeypatch):
+    """The report still lists every claim, the failed one as FAIL."""
+    monkeypatch.setattr(towers, "_truncation_identity", lambda fam: False)
+    rc, out, err = run_cli("family", "exe2", "claims", "--n", "2")
+    assert rc == 4
+    assert out.splitlines()[0].startswith("FAIL exe2.truncation_identity:")
+    assert [line[:4] for line in out.splitlines()] == ["FAIL", "PASS", "PASS"]
+    assert err == ("error[internal-inconsistency]: a documented family "
+                   "claim failed\n")
+
+
+CONFIG_FAMILY_UTABLE = """\
+U-table for diag (horizon 2, s <= 2)
+  s=1: [0, 0]
+  s=2: [0, 0]
+  rows still growing at horizon: []
+  Ilqm lower bound: None
+  e estimate at horizon: 0
+  note: boundedness is horizon-limited: a flat row is only known bounded \
+up to the horizon
+"""
+
+CONFIG_FAMILY_INVARIANTS = """\
+field diag:3 over F_2(X, Y, Z)
+  generators: rt(X,3), rt(Y,3)
+  degree: p^6 = 64
+  di: 2
+  exponents: [3, 3]
+  modular: True
+  equiexponential: True (exponent 3)
+  rp chain degree logs: [4, 2, 0, 0]
+"""
+
+
+def test_config_family_commands(config_path):
+    """utable and family reach a family of the context document; it takes
+    no parameters."""
+    assert run_cli("--context", config_path, "utable", "diag", "--horizon",
+                   "2", "--smax", "2") == (0, CONFIG_FAMILY_UTABLE, "")
+    assert run_cli("--context", config_path, "family", "diag",
+                   "invariants") == (0, CONFIG_FAMILY_INVARIANTS, "")
+    for argv in (["family", "diag", "invariants", "--params", "t=1"],
+                 ["utable", "diag", "--horizon", "2", "--smax", "1",
+                  "--params", "n=1"]):
+        assert run_cli("--context", config_path, *argv) == (
+            2, "", "error[parse]: config families take no parameters\n")
+
+
 AMBIGUOUS_COEFFICIENT = """\
 p: 2
 variables: [X, Y, Z]
@@ -550,8 +635,7 @@ def test_exe3_reference_is_explicit_error():
 
 
 def test_console_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "pinsep.cli", "parity", "7"],
-                          capture_output=True, text=True)
+    proc = run_module("-m", "pinsep.cli", "parity", "7")
     assert proc.returncode == 0
     assert "lpi = 3" in proc.stdout
 

@@ -760,18 +760,6 @@ def test_parity_rejects_nonpositive():
 # ----------------------------------------------------------------------
 
 
-def test_truncation_formula_exe1():
-    fam = family("exe1", n=3)
-    for n in range(4):
-        assert inv.truncation_formula_check(fam, 0, n)
-
-
-def test_truncation_formula_exe4():
-    fam = family("exe4", n=3)
-    assert inv.truncation_formula_check(fam, 0, 1)
-    assert inv.truncation_formula_check(fam, 0, 2)
-
-
 def test_truncation_formula_exe6_smoke():
     fam = family("exe6", i_max=2, n_max=2)
     assert inv.truncation_formula_check(fam, 0, 1)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pinsep.perfect import CapExceeded, Context, PerfElem
 from pinsep.polynomials import MultiPoly, RatFunc
 
-from conftest import partial_derivative
+from conftest import partial_derivative, quotients
 
 
 @pytest.fixture
@@ -172,3 +172,28 @@ def test_pow_negative_and_zero(ctx):
     a = X.frob(-1)
     assert (a ** 0).is_one()
     assert a ** -2 == (a * a).inverse()
+
+
+def is_canonical(r):
+    """r equals its fully renormalized form, and its denominator is monic."""
+    return r == RatFunc(r.num, r.den) and r.den.leading()[1] == 1
+
+
+@given(st.sampled_from([2, 3]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_arithmetic_of_quotients_is_canonical(p, data):
+    """Sums, products, inverses, exponent division and powers of fractions
+    with real denominators come out reduced with a monic denominator,
+    also where the denominators share factors (u and u*v)."""
+    ctx = Context(p, ("X", "Y"))
+    u = data.draw(quotients(ctx))
+    v = data.draw(quotients(ctx))
+    m = max(u.level, v.level)
+    a, b = u.body_at_level(m), (u * v).body_at_level(m)
+    root = a.scale_exponents(p).divide_exponents(p)
+    assert root == a
+    results = [a + b, a - b, a * b, root, (u + v).body, (u * v).body]
+    results += [(u ** n).body for n in (2, p, p + 1)]
+    if not a.is_zero():
+        results += [a.inverse(), b / a, (u ** -2).body]
+    assert all(is_canonical(r) for r in results)

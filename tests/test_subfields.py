@@ -14,7 +14,7 @@ from pinsep.subfields import (InternalInconsistency, Subfield, _log_p,
                               from_vector, to_vector, vec_mul)
 from pinsep.towers import family
 
-from conftest import (fields_equal, random_element, random_field,
+from conftest import (fields_equal, quotients, random_element, random_field,
                       random_fields, rank)
 
 
@@ -77,6 +77,38 @@ def test_span_brute_force_dimension_oracle(ctx):
             vecs.append(to_vector(e, 1))
     assert rank(vecs) == 4
     assert K.degree_log == 2
+
+
+# ----------------------------------------------------------------------
+# vector embedding
+# ----------------------------------------------------------------------
+
+
+@given(st.sampled_from([2, 3]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_to_vector_of_quotients(p, data):
+    """On elements with a denominator, every coordinate is one canonical
+    fraction keyed below q = p^m, and from_vector inverts to_vector at
+    the element's own level and two levels above it."""
+    ctx = Context(p, ("X", "Y"))
+    e = data.draw(quotients(ctx))
+    for m in range(e.level, e.level + 3):
+        vec = to_vector(e, m)
+        assert all(x < p ** m for key in vec for x in key)
+        assert all(c == RatFunc(c.num, c.den) for c in vec.values())
+        assert from_vector(ctx, vec, m) == e
+
+
+@given(st.sampled_from([2, 3]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_vec_mul_of_quotients_is_vector_of_product(p, data):
+    ctx = Context(p, ("X", "Y"))
+    a = data.draw(quotients(ctx))
+    b = data.draw(quotients(ctx))
+    low = max(a.level, b.level)
+    for m in range(low, low + 2):
+        assert vec_mul(ctx, m, to_vector(a, m), to_vector(b, m)) \
+            == to_vector(a * b, m)
 
 
 # ----------------------------------------------------------------------
