@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -264,7 +265,12 @@ def cmd_family(args, cfg):
     if args.smax is not None and args.horizon is None:
         raise ConfigError("family invariants takes --smax only with --horizon")
     params = parse_params(args.params)
-    if args.n is not None:
+    # --n selects the stage; a built-in family whose constructor takes n
+    # (exe1, exe2, exe4) gets it as that parameter too, its top stage
+    builder = (None if cfg is not None and args.name in cfg.families
+               else FAMILIES.get(args.name))
+    if (args.n is not None and builder is not None
+            and "n" in inspect.signature(builder).parameters):
         params["n"] = args.n
     fam = resolve_family(cfg, args.name, params)
     if args.sub == "claims":
@@ -350,7 +356,8 @@ def build_parser():
     sp.add_argument("name")
     sp.add_argument("sub", choices=["claims", "invariants"])
     sp.add_argument("--n", type=int, default=None,
-                    help="stage (families with an n parameter)")
+                    help="stage (default: the top stage); exe1, exe2 "
+                         "and exe4 also take it as their parameter n")
     sp.add_argument("--params", default="",
                     help="extra family parameters, e.g. t=2,m=3")
     sp.add_argument("--horizon", type=int, default=None,

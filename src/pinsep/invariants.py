@@ -120,35 +120,42 @@ def defining_equations(K: Subfield, B: RBase) -> dict:
     w_eps runs over the monomials (alpha_1, ..., alpha_{j-1})^(p^m_j * eps)
     with eps in the box {0 <= eps_t < p^(m_t - m_j)}; the coefficients are
     the unique elements of k expressing the relation, solved exactly, and
-    are returned as level-0 PerfElem.
+    are returned as level-0 PerfElem.  They are solved once per field and
+    r-base and kept on K (the modularity criterion and the r-base report
+    both ask), so the returned dict is shared and must not be changed.
     """
     if B.exponents is None:
         raise ValueError("defining equations need an ordered r-base")
-    p = K.ctx.p
-    out = {}
-    for j in range(2, len(B) + 1):
-        m_j = B.exponents[j - 1]
-        powers = [B.elements[t].frob(m_j) for t in range(j - 1)]
-        rhs_elem = B.elements[j - 1].frob(m_j)
-        monomials = []
-        box = _lambda_exponents(B.exponents, j, p)
-        for eps in box:
-            w = K.ctx.one()
-            for t, e_t in enumerate(eps):
-                if e_t:
-                    w = w * powers[t] ** e_t
-            monomials.append(w)
-        level = max([w.level for w in monomials] + [rhs_elem.level])
-        cols = [to_vector(w, level) for w in monomials]
-        rhs = to_vector(rhs_elem, level)
-        try:
-            coeffs = solve(cols, rhs, p, K.ctx.nvars)
-        except (InconsistentSystem, ArithmeticError) as exc:
-            raise InternalInconsistency(
-                f"defining equation {j} has no unique solution: {exc}") from exc
-        for eps, c in zip(box, coeffs):
-            out[(j, eps)] = PerfElem(K.ctx, 0, c)
-    return out
+
+    def solve_all():
+        p = K.ctx.p
+        out = {}
+        for j in range(2, len(B) + 1):
+            m_j = B.exponents[j - 1]
+            powers = [B.elements[t].frob(m_j) for t in range(j - 1)]
+            rhs_elem = B.elements[j - 1].frob(m_j)
+            monomials = []
+            box = _lambda_exponents(B.exponents, j, p)
+            for eps in box:
+                w = K.ctx.one()
+                for t, e_t in enumerate(eps):
+                    if e_t:
+                        w = w * powers[t] ** e_t
+                monomials.append(w)
+            level = max([w.level for w in monomials] + [rhs_elem.level])
+            cols = [to_vector(w, level) for w in monomials]
+            rhs = to_vector(rhs_elem, level)
+            try:
+                coeffs = solve(cols, rhs, p, K.ctx.nvars)
+            except (InconsistentSystem, ArithmeticError) as exc:
+                raise InternalInconsistency(
+                    f"defining equation {j} has no unique solution: "
+                    f"{exc}") from exc
+            for eps, c in zip(box, coeffs):
+                out[(j, eps)] = PerfElem(K.ctx, 0, c)
+        return out
+
+    return K.memo(("defining_equations", B), solve_all)
 
 
 def is_modular(K: Subfield, method: str = "both"):

@@ -46,12 +46,22 @@ class Echelon:
 
     A row dict is never mutated once it is stored: clearing a new pivot
     from a row replaces the row with a new dict.  Two echelons may
-    therefore share row dicts, and a reduced basis can seed a larger one
-    by copying its `rows` mapping.
+    therefore share row dicts, and `insert` stores a vector as given
+    when it needs no change.  A reduced basis seeds a larger echelon
+    through `from_reduced`, without being inserted again.
     """
 
     def __init__(self):
         self.rows = {}            # pivot_key -> row_dict, pivot entry 1
+
+    @classmethod
+    def from_reduced(cls, rows: dict) -> "Echelon":
+        """The echelon whose rows are `rows` (pivot -> row), taken over as
+        they are.  They must already be a reduced basis: each row 1 at its
+        pivot, its smallest column, and 0 at every other row's pivot."""
+        ech = cls()
+        ech.rows = rows
+        return ech
 
     def __len__(self):
         return len(self.rows)
@@ -62,10 +72,15 @@ class Echelon:
         Every row is zero at the other rows' pivots, so clearing one pivot
         neither brings in another nor changes v's entry there: one pass
         over the pivots present in v clears them all, on one copy of v.
+        A v that holds no pivot is its own remainder and is returned
+        itself, not copied; the caller must not change the result.
         """
         rows = self.rows
+        hits = [k for k in v if k in rows]
+        if not hits:
+            return v
         out = dict(v)
-        for k in [k for k in v if k in rows]:
+        for k in hits:
             c = -out.pop(k)       # row k is 1 at k: that entry cancels
             for col, val in rows[k].items():
                 if col == k:
@@ -82,16 +97,20 @@ class Echelon:
         return out
 
     def insert(self, v: dict) -> bool:
-        """Reduce v and add it to the basis; True iff the span grew."""
+        """Reduce v and add it to the basis; True iff the span grew.
+
+        v is handed over: a v with no pivot column to clear and entry 1
+        at its smallest column is stored as it is, so the caller must not
+        change v afterwards.  v itself is never mutated.
+        """
         r = self.reduce(v)
         if not r:
             return False
         piv = min(r)
         lead = r[piv]
-        if not lead.is_one():     # r is reduce's own copy: scale in place
+        if not lead.is_one():
             inv = lead.inverse()
-            for k, val in r.items():
-                r[k] = val * inv
+            r = {k: val * inv for k, val in r.items()}
         # keep the basis fully reduced: clear the new pivot everywhere
         for pk, row in self.rows.items():
             c = row.get(piv)

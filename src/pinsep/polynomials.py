@@ -18,6 +18,7 @@ SMALL_PRIMES = (2, 3, 5, 7)
 
 
 _ZERO_EXPS = {}     # nvars -> (0,) * nvars, built once per variable count
+_CONSTS = {}        # (p, nvars, c) -> the one constant MultiPoly c
 
 
 def _zero_exp(nvars: int) -> tuple:
@@ -69,14 +70,22 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, p, nvars):
-        return cls(p, nvars)
+        return cls.const(p, nvars, 0)
 
     @classmethod
     def const(cls, p, nvars, c):
+        """The constant c; polynomials are immutable, so there is one
+        object per (p, nvars, c), shared by every caller."""
         if p not in SMALL_PRIMES:
             raise ValueError(f"p must be one of {SMALL_PRIMES}, got {p}")
         c %= p
-        return cls._raw(p, nvars, {_zero_exp(nvars): c} if c else {})
+        key = (p, nvars, c)
+        try:
+            return _CONSTS[key]
+        except KeyError:
+            out = _CONSTS[key] = cls._raw(
+                p, nvars, {_zero_exp(nvars): c} if c else {})
+            return out
 
     @classmethod
     def one(cls, p, nvars):
@@ -265,13 +274,17 @@ class VariableCountMismatch(ValueError):
 # go negative), and gcd(h, c*x^a) = x^min(a, monomial content of h).
 # Otherwise exact division uses the ordinary one-divisor division
 # algorithm in graded-lex order, and the gcd is the classical recursive
-# scheme: strip monomial content, pick the highest active variable as the
-# main one, split into content and primitive part, and run a primitive
-# pseudo-remainder sequence on the primitive parts.  The sequence ends at
-# the first zero remainder, and its divisor is the gcd up to content; a
-# divisor of degree 0 in the main variable always leaves remainder 0, so
-# coprime inputs end there.  This is the one route for every gcd without
-# a single-term argument, univariate ones included: there the
+# scheme: strip monomial content, take as the main variable the active
+# one of least degree (the highest on ties), split into content and
+# primitive part, and run the subresultant pseudo-remainder sequence on
+# the primitive parts.  It divides each remainder by a factor known in
+# advance (Brown and Traub 1971), where taking each remainder's content,
+# one gcd per coefficient, ran for minutes on inputs of a few terms; both
+# the sequence and the main-variable rule are needed for that.  The
+# sequence ends at the first zero remainder, and its divisor is the gcd
+# up to content; a remainder of degree 0 in the main variable means the
+# primitive inputs are coprime.  This is the one route for every gcd
+# without a single-term argument, univariate ones included: there the
 # coefficients in the main variable are constants.  All choices are
 # deterministic and results are normalized monic in graded-lex.
 # RatFunc runs them once per fraction it makes, and not at all where
@@ -363,17 +376,23 @@ def _uni_trim(u):
     return u
 
 
-def _uni_prem(a, b, p, nv):
-    """Pseudo-remainder of dense univariate a by b over the polynomial ring."""
+def _uni_prem(a, b):
+    """lc(b)^(deg a - deg b + 1) * a mod b, for dense univariate a and b
+    over the polynomial ring with deg a >= deg b."""
     a = list(a)
+    lc_b = b[-1]
+    owed = len(a) - len(b) + 1      # factors lc(b) the remainder must carry
     while len(a) >= len(b) and a:
         lc_a = a[-1]
-        lc_b = b[-1]
         shift = len(a) - len(b)
         a = [lc_b * c for c in a]
         for j, bc in enumerate(b):
             a[shift + j] = a[shift + j] - lc_a * bc
         _uni_trim(a)
+        owed -= 1
+    if owed and a:
+        scale = lc_b ** owed
+        a = [scale * c for c in a]
     return a
 
 
@@ -396,8 +415,8 @@ def _make_monic(f: MultiPoly) -> MultiPoly:
 
 
 def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic gcd: direct for a single-term argument, else primitive PRS
-    on the recursive dense form."""
+    """Monic gcd: direct for a single-term argument, else the subresultant
+    PRS on the recursive dense form."""
     if f.p != g.p or f.nvars != g.nvars:
         raise ValueError("gcd of incompatible polynomials")
     if f.is_zero():
@@ -426,7 +445,8 @@ def _gcd_core(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return MultiPoly.one(p, nv)
     if f == g:
         return f
-    i = max(f.variables_used() | g.variables_used())
+    i = min(f.variables_used() | g.variables_used(),
+            key=lambda v: (max(f.degree_in(v), g.degree_in(v)), -v))
     uf = _to_univariate(f, i)
     ug = _to_univariate(g, i)
     cont_f = _uni_content(uf)
@@ -441,20 +461,30 @@ def _gcd_core(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def _prs(a, b, p, nv):
-    """Primitive pseudo-remainder sequence; returns the last nonzero term.
+    """Subresultant pseudo-remainder sequence: the last nonzero term.
 
-    Each pseudo-remainder is divided by its full content, so every
-    division is exact by construction; degrees strictly decrease, and the
-    last nonzero term is the gcd of the primitive inputs up to content.
+    Each pseudo-remainder is divided by g * h^delta, g the leading
+    coefficient of the divisor before it and h the running subresultant
+    factor, which divides every coefficient exactly (Brown and Traub
+    1971); degrees strictly decrease, and the last nonzero term is the
+    gcd of the primitive inputs up to content.
     """
+    one = MultiPoly.one(p, nv)
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = one
     while True:
-        r = _uni_prem(a, b, p, nv)
+        delta = len(a) - len(b)
+        r = _uni_prem(a, b)
         if not r:
             return b
-        cont = _uni_content(r)
-        if not cont.is_one():
-            r = [mp_exact_div(c, cont) for c in r]
-        a, b = b, r
+        if len(r) == 1:
+            return [one]
+        div = g * h ** delta
+        a, b = b, [mp_exact_div(c, div) for c in r]
+        g = a[-1]
+        if delta:
+            h = mp_exact_div(g ** delta, h ** (delta - 1))
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,12 @@ degree is known from the tower law as soon as it is constructed; its
 basis, the base field's one row included, is built on first use, checked
 to have exactly that dimension, and never changes afterwards.  K(e)'s
 build starts from K's reduced rows and inserts only the products with
-e, e^2, ....  Each field memoizes its adjunctions K(e), its Frobenius
-images k(K^(p^j)), its compositum and intersection with each field L
-and its greedy r-base, so each is built at most once.  A span adjoins in greedy order (largest relative exponent first),
-so its one chain of fields yields, and keeps, the greedy r-base.
+e, e^2, ..., each as it is made, so it holds its basis and at most one
+layer of products.  Each field memoizes its adjunctions K(e), its
+Frobenius images k(K^(p^j)), its compositum and intersection with each
+field L and its greedy r-base, so each is built at most once.  A span
+adjoins in greedy order (largest relative exponent first), so its one
+chain of fields yields, and keeps, the greedy r-base.
 
 Questions that levels alone settle never build a basis: an element of
 level 0 lies in k and so in every field, an element above a field's
@@ -215,13 +217,17 @@ class Subfield:
         The degree of K(e) is then [K : k] * p^r; the basis is built when
         it is first needed.  1, e, ..., e^(p^r - 1) is a K-basis of K(e),
         so the products b*e^l of the K-basis b with 0 <= l < p^r form a
-        k-basis.  The build starts from K's reduced rows lifted to K(e)'s
-        level (layer l = 0): scaling every exponent by the same power of
-        p keeps lex order, so each row keeps its pivot and stays reduced.
-        It then inserts only the layers 1 <= l < p^r and checks that each
-        insert grows the span.  That check catches an r that is too large
-        when the basis is built; an r that is too small goes undetected
-        and yields a proper subspace of K(e), not a field.
+        k-basis.  The build seeds its echelon with K's reduced rows lifted
+        to K(e)'s level (layer l = 0): scaling every exponent by the same
+        power of p keeps lex order, so each row keeps its pivot and stays
+        reduced.  It then inserts the layers 1 <= l < p^r, each product as
+        soon as it is made, and checks that each insert grows the span.
+        A product is kept only while e^(l+1) still needs it, in the slot
+        of the row it came from, so the build holds its echelon and at
+        most one layer, and nothing of the last layer beyond the echelon.
+        The insert check catches an r that is too large when the basis is
+        built; an r that is too small goes undetected and yields a proper
+        subspace of K(e), not a field.
 
         The result is memoized on K per e, so each field of a chain is
         constructed, and its basis built, once.
@@ -237,17 +243,17 @@ class Subfield:
 
         def build():
             factor = ctx.p ** (m - self.level)
-            ech = Echelon()
-            layer = []
-            for piv, row in sorted(self._echelon.rows.items()):
-                row = _lift_vec(row, factor)
-                ech.rows[tuple(x * factor for x in piv)] = row
-                layer.append(row)
+            rows = {tuple(x * factor for x in piv): _lift_vec(row, factor)
+                    for piv, row in sorted(self._echelon.rows.items())}
+            ech = Echelon.from_reduced(rows)
+            layer = list(rows.values())
             gvec = to_vector(e, m)
-            for l in range(1, ctx.p ** r):
-                layer = [vec_mul(ctx, m, v, gvec) for v in layer]
-                for v in layer:
-                    if not ech.insert(v):
+            last = ctx.p ** r - 1
+            for l in range(1, last + 1):
+                for i, v in enumerate(layer):
+                    w = vec_mul(ctx, m, v, gvec)
+                    layer[i] = w if l < last else None
+                    if not ech.insert(w):
                         raise InternalInconsistency(
                             f"adjoin: product by e^{l} fell in the span, "
                             f"against [K(e) : K] = {ctx.p}^{r}")
@@ -260,16 +266,19 @@ class Subfield:
 
     @classmethod
     def _from_vectors(cls, ctx, level, vecs) -> "Subfield":
-        """Internal: wrap level-`level` vectors known to span a field, at the
-        least level that holds them all (no re-closing).  The generators
-        are the rows of the field's reduced basis, in pivot order."""
+        """Internal: wrap the canonical reduced basis `vecs` of a field, at
+        level `level`, at the least level that holds them all.  Dividing
+        every key by the same power of p keeps lex order, so each row
+        keeps its pivot and the rescaled rows seed the echelon as they are,
+        with no insert.  The generators are the rows, in pivot order."""
         m = next(m for m in range(level + 1)
                  if not any(x % ctx.p ** (level - m)
                             for v in vecs for e in v for x in e))
         factor = ctx.p ** (level - m)
-        ech = Echelon()
-        for v in vecs:
-            ech.insert({tuple(x // factor for x in e): c for e, c in v.items()})
+        rows = [v if factor == 1 else
+                {tuple(x // factor for x in e): c for e, c in v.items()}
+                for v in vecs]
+        ech = Echelon.from_reduced({min(v): v for v in rows})
         gens = tuple(from_vector(ctx, r, m) for r in ech.basis_rows())
         return cls(ctx, m, gens, _log_p(len(ech), ctx.p), lambda: ech,
                    _private=_TOKEN)

@@ -441,6 +441,26 @@ def test_family_stage_reference(config_path):
     assert json.loads(out)["degree_log"] == 4
 
 
+@pytest.mark.parametrize("in_context,name,n", [
+    (True, "diag", 2),
+    (False, "modular_diag", 2),
+    (False, "nonmodular_basic", 1),
+    (False, "exe6", 1),
+], ids=["config", "modular_diag", "nonmodular_basic", "exe6"])
+def test_family_n_selects_the_stage(config_path, in_context, name, n):
+    """--n selects stage n of a family without an n parameter, whether it
+    is built in or comes from a context document: the report is that of
+    invariants NAME:N, byte for byte.  A stage past max_stage is a parse
+    error."""
+    pre = ["--context", config_path] if in_context else []
+    got = run_cli(*pre, "--json", "family", name, "invariants", "--n", str(n))
+    assert got[0] == 0
+    assert got == run_cli(*pre, "--json", "invariants", f"{name}:{n}")
+    rc, out, err = run_cli(*pre, "family", name, "invariants", "--n", "9")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error[parse]:") and "got 9" in err
+
+
 def test_builtin_field_without_context():
     rc, out, _ = run_cli("--json", "modular", "nonmodular_basic")
     rep = json.loads(out)
@@ -616,7 +636,7 @@ def test_exit_codes(config_path, tmp_path):
 
 
 @pytest.mark.parametrize("argv,needle", [
-    (["family", "nonmodular_basic", "invariants", "--n", "1"],
+    (["family", "nonmodular_basic", "invariants", "--params", "n=1"],
      "family 'nonmodular_basic'"),
     (["utable", "exe1", "--horizon", "2", "--smax", "1", "--params", "q=1"],
      "family 'exe1'"),

@@ -478,6 +478,28 @@ def test_defining_equations_tensor(ctx):
     assert eqs[(2, (1,))].is_zero()
 
 
+def test_defining_equations_solved_once_per_field(ctx, monkeypatch):
+    """The modularity criterion and the r-base report share one solve:
+    the equations are kept on K, and a second request solves nothing."""
+    K = section5(ctx)
+    calls = []
+    real = inv.solve
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(inv, "solve", counting)
+    assert inv.is_modular(K, method="criterion")[0] is False
+    assert len(calls) == 1
+    rep = report.rbase_report(K)
+    assert len(calls) == 1
+    eqs = inv.defining_equations(K, inv.canonical_rbase(K))
+    assert eqs is inv.defining_equations(K, inv.canonical_rbase(K))
+    assert [eq["coefficient"] for eq in rep["defining_equations"]] == [
+        c.render() for _, c in sorted(eqs.items())]
+
+
 def test_defining_equations_reconstruct(small_corpus):
     """alpha_j^(p^m_j) equals the asserted combination, for random fields."""
     for K in small_corpus[:10]:

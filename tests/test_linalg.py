@@ -212,6 +212,26 @@ def test_reduce_in_place_matches_reference(basis, queries):
         assert v == before
 
 
+@given(sparse_vectors)
+@settings(max_examples=100, deadline=None)
+def test_insert_never_mutates_its_argument(vectors):
+    """insert leaves every argument as it was.  When the span grows, the
+    new row is the argument itself exactly when the argument held no
+    pivot column and was 1 at its smallest column; a vector that had to
+    be cleared or scaled is stored as a new dict."""
+    ech = Echelon()
+    for d in vectors:
+        v = sparse_vec(d)
+        before = dict(v)
+        clean = v and not any(k in ech.rows for k in v) and v[min(v)].is_one()
+        old = set(ech.rows)
+        grew = ech.insert(v)
+        assert v == before
+        if grew:
+            piv, = set(ech.rows) - old
+            assert (ech.rows[piv] is v) == bool(clean)
+
+
 @given(sparse_vectors, sparse_vectors)
 @settings(max_examples=50, deadline=None)
 def test_intersect_spans_dimension_formula(rows_a, rows_b):

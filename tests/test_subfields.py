@@ -2,6 +2,8 @@
 Frobenius images, truncations, linear disjointness, relative exponents."""
 
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -367,7 +369,8 @@ def test_truncation_solves_no_nullspace(small_corpus, monkeypatch):
 
 def test_truncation_inserts_pivoted_rows_once(monkeypatch):
     """k_1 of exe1 stage 3 costs one insert per row of K pivoted inside
-    A_1 and one per row of k_1's basis, and nothing else."""
+    A_1 and nothing else: the rows pivoted in block 1 are already k_1's
+    reduced basis and seed its echelon as they are."""
     K = family("exe1", n=3).stage(3)
     step = K.ctx.p ** (K.level - 1)
     inside = [e for e in K._echelon.rows if not any(x % step for x in e)]
@@ -380,8 +383,59 @@ def test_truncation_inserts_pivoted_rows_once(monkeypatch):
 
     monkeypatch.setattr(Echelon, "insert", counting)
     k1 = K.truncation(1)
-    assert len(calls) == len(inside) + k1.degree
-    assert len(inside) < K.degree
+    assert len(calls) == len(inside)
+    assert len(inside) < K.degree and k1.degree > 1
+
+
+def check_seeded_rows(K, L):
+    """Each truncation k_n of K (n below its level) and K ∩ L wrap a
+    reduced basis without inserting it: the seeded rows equal those of a
+    fresh echelon into which the same vectors, rescaled to the field's
+    level, are inserted one by one."""
+    seen = []
+    real = Subfield._from_vectors
+
+    def recording(cls, ctx, level, vecs):
+        field = real(ctx, level, vecs)
+        seen.append((level, vecs, field))
+        return field
+
+    with mock.patch.object(Subfield, "_from_vectors", classmethod(recording)):
+        for n in range(K.level):
+            K.truncation(n)
+        K.intersect(L)
+    assert len(seen) == K.level + 1
+    for level, vecs, field in seen:
+        factor = field.ctx.p ** (level - field.level)
+        ech = Echelon()
+        for v in vecs:
+            assert ech.insert({tuple(x // factor for x in e): c
+                               for e, c in v.items()})
+        assert sorted(field._echelon.rows.items()) == sorted(ech.rows.items())
+
+
+@given(random_fields, st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_seeded_rows_match_inserted_rows_random(K, rng):
+    L = Subfield.span(K.ctx, [K.gens[0], random_element(
+        K.ctx, rng, max_level=1, max_terms=2)])
+    check_seeded_rows(K, L)
+
+
+def test_basis_build_holds_its_basis_and_one_layer():
+    """Building the basis of exe2 stage 3 (64 rows) peaks within 1.15
+    times what it keeps: the products are inserted as they are made, a
+    product is kept only while the next power needs it, and no row is
+    copied twice."""
+    K = family("exe2", n=3).stage(3)
+    assert K._basis is None
+    tracemalloc.start()
+    try:
+        assert len(K._echelon) == 2 ** 6
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * retained, (peak, retained)
 
 
 # ----------------------------------------------------------------------
