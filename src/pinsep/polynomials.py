@@ -12,7 +12,7 @@ is structural.
 
 from __future__ import annotations
 
-from operator import sub
+from operator import add, sub
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -161,6 +161,8 @@ class MultiPoly:
 
     def __neg__(self):
         p = self.p
+        if p == 2:
+            return self         # -1 = 1 in characteristic 2
         terms = {e: p - c for e, c in self.terms.items()}
         return MultiPoly._raw(p, self.nvars, terms)
 
@@ -172,14 +174,28 @@ class MultiPoly:
         p = self.p
         if not self.terms or not other.terms:
             return MultiPoly.zero(p, self.nvars)
-        # multiply with the smaller factor outermost
-        a, b = (self.terms, other.terms)
-        if len(a) > len(b):
-            a, b = b, a
+        # multiply with the smaller factor outermost; a single term, the
+        # smaller factor of most products during elimination, shifts the
+        # other's terms apart, so nothing needs summing, and 1 returns it
+        small, big = (self, other) if len(self.terms) <= len(other.terms) \
+            else (other, self)
+        a, b = small.terms, big.terms
+        if len(a) == 1:
+            (e, c), = a.items()
+            if c == 1 and not any(e):
+                return big
+            if len(b) == 1:
+                (f, d), = b.items()
+                if d == 1 and not any(f):
+                    return small
+                return MultiPoly._raw(p, self.nvars,
+                                      {tuple(map(add, e, f)): c * d % p})
+            return MultiPoly._raw(p, self.nvars, {
+                tuple(map(add, e, f)): c * d % p for f, d in b.items()})
         acc: dict = {}
         for e, c in a.items():
             for f, d in b.items():
-                g = tuple(x + y for x, y in zip(e, f))
+                g = tuple(map(add, e, f))
                 s = (acc.get(g, 0) + c * d) % p
                 if s:
                     acc[g] = s
@@ -201,10 +217,10 @@ class MultiPoly:
         c %= self.p
         if c == 0:
             return MultiPoly.zero(self.p, self.nvars)
-        terms = {}
-        for e, v in self.terms.items():
-            terms[tuple(x + y for x, y in zip(e, exp))] = (v * c) % self.p
-        return MultiPoly._raw(self.p, self.nvars, terms)
+        p = self.p
+        terms = {tuple(map(add, e, exp)): v * c % p
+                 for e, v in self.terms.items()}
+        return MultiPoly._raw(p, self.nvars, terms)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -523,10 +539,6 @@ class RatFunc:
     @classmethod
     def one(cls, p, nvars):
         return cls.of_poly(MultiPoly.one(p, nvars))
-
-    @classmethod
-    def monomial(cls, p, nvars, exp, c=1):
-        return cls.of_poly(MultiPoly.monomial(p, nvars, exp, c))
 
     # -- predicates ---------------------------------------------------
 

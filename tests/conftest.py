@@ -5,9 +5,9 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from pinsep.linalg import Echelon
+from pinsep.linalg import Echelon, Vec
 from pinsep.perfect import Context
-from pinsep.polynomials import MultiPoly, RatFunc
+from pinsep.polynomials import MultiPoly, RatFunc, mp_exact_div, mp_gcd
 from pinsep.subfields import Subfield
 
 VAR_NAMES = ("X", "Y", "Z")
@@ -115,6 +115,87 @@ def greedy_rbase_over(K, L):
 def greedy_exponents_over(K, L):
     """The exponent list of greedy_rbase_over(K, L)."""
     return tuple(o for _, o in greedy_rbase_over(K, L))
+
+
+def vector(entries, p=3, nvars=1) -> Vec:
+    """The Vec of the fractions {key: RatFunc}: each numerator over the
+    lcm of the entries' denominators.  The lcm shares no factor with all
+    numerators, so a vector 1 at its smallest key is a canonical row.
+    p and nvars give the ring of an empty vector's denominator."""
+    entries = {k: c for k, c in entries.items() if not c.is_zero()}
+    if entries:
+        first = next(iter(entries.values()))
+        p, nvars = first.p, first.nvars
+    lcm = MultiPoly.one(p, nvars)
+    for c in entries.values():
+        lcm = mp_exact_div(lcm * c.den, mp_gcd(lcm, c.den))
+    return Vec({k: c.num * mp_exact_div(lcm, c.den)
+                for k, c in entries.items()}, lcm)
+
+
+def fractions(v: Vec) -> dict:
+    """A Vec read as {key: RatFunc}, each entry a reduced fraction."""
+    return {k: RatFunc(n, v.den) for k, n in v.num.items()}
+
+
+def assert_canonical(ech: Echelon):
+    """Every stored row pivots on its smallest column, has a monic
+    denominator equal to its numerator there, and no factor common to
+    the denominator and all numerators."""
+    for piv, row in ech.rows.items():
+        assert piv == min(row.num)
+        assert row.num[piv] == row.den
+        assert row.den.leading()[1] == 1
+        g = row.den
+        for n in row.num.values():
+            g = mp_gcd(g, n)
+        assert g.is_one(), (piv, row)
+
+
+def vec_add_scaled(v: dict, w: dict, c: RatFunc) -> dict:
+    """v + c*w on dicts of fractions, dropping exact zeros."""
+    if c.is_zero():
+        return v
+    out = dict(v)
+    for k, val in w.items():
+        s = out.get(k)
+        s = val * c if s is None else s + val * c
+        if s.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+class FractionEchelon:
+    """Reference reduced echelon over dicts of fractions {key: RatFunc},
+    each entry its own reduced fraction: the pivot of a row is its
+    smallest column, and the row is 1 there.  An independent route for
+    linalg.Echelon, which keeps polynomial numerators over one
+    denominator per row."""
+
+    def __init__(self, rows=None):
+        self.rows = dict(rows or {})     # pivot -> {key: RatFunc}
+
+    def reduce(self, v: dict) -> dict:
+        out = dict(v)
+        for k in [k for k in v if k in self.rows]:
+            out = vec_add_scaled(out, self.rows[k], -out[k])
+        return out
+
+    def insert(self, v: dict) -> bool:
+        r = self.reduce(v)
+        if not r:
+            return False
+        piv = min(r)
+        inv = r[piv].inverse()
+        r = {k: val * inv for k, val in r.items()}
+        for pk, row in self.rows.items():
+            c = row.get(piv)
+            if c is not None:
+                self.rows[pk] = vec_add_scaled(row, r, -c)
+        self.rows[piv] = r
+        return True
 
 
 def echelon_of(vectors) -> Echelon:

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinsep.linalg import (Echelon, InconsistentSystem, intersect_spans,
-                           nullspace, solve, vec_add_scaled)
+                           nullspace, solve)
 from pinsep.polynomials import MultiPoly, RatFunc
+from pinsep.subfields import to_vector
 
-from conftest import echelon_of, rank
+from conftest import (assert_canonical, echelon_of, fractions,
+                      random_fields, rank, vec_add_scaled, vector)
 
 
 def c(v, p=3, nv=1):
@@ -21,29 +23,30 @@ def x_poly(p=3, nv=1):
 
 
 def test_rank_of_identity():
-    rows = [{i: c(1)} for i in range(3)]
+    rows = [vector({i: c(1)}) for i in range(3)]
     assert rank(rows) == 3
 
 
 def test_rank_counts_independent_rows():
-    dependent = [{0: c(1), 1: c(2)}, {0: c(2), 1: c(1)}]  # (2,1) = 2*(1,2) mod 3
+    dependent = [vector({0: c(1), 1: c(2)}),
+                 vector({0: c(2), 1: c(1)})]  # (2,1) = 2*(1,2) mod 3
     assert rank(dependent) == 1
-    independent = [{0: c(1), 1: c(2)}, {0: c(2)}, {}]
+    independent = [vector({0: c(1), 1: c(2)}), vector({0: c(2)}), vector({})]
     assert rank(independent) == 2
 
 
 def test_nullspace_single_row():
     # [x, x] over F_3(x): nullspace is span{(1, -1)} normalized
     x = x_poly()
-    ns = nullspace([{0: x, 1: x}], 2, 3, 1)
+    ns = nullspace([vector({0: x, 1: x})], 2, 3, 1)
     assert len(ns) == 1
-    v = ns[0]
+    v = fractions(ns[0])
     assert v[0].is_one()
     assert v[1] == c(-1)
 
 
 def test_nullspace_of_full_rank_is_empty():
-    rows = [{0: c(1)}, {1: c(1)}]
+    rows = [vector({0: c(1)}), vector({1: c(1)})]
     assert nullspace(rows, 2, 3, 1) == []
 
 
@@ -51,7 +54,7 @@ def test_solve_unique():
     # x0 + 2 x1 = 5ish over F_7? use F_3: x0 + 2x1 = 1; x1 = 2
     cols = [{0: c(1)}, {0: c(2), 1: c(1)}]
     rhs = {0: c(1), 1: c(2)}
-    xs = solve(cols, rhs, 3, 1)
+    xs = solve([vector(col) for col in cols], vector(rhs), 3, 1)
     # substitute back: residual must vanish
     acc = {}
     for xj, col in zip(xs, cols):
@@ -63,29 +66,30 @@ def test_solve_unique():
 def test_solve_inconsistent_vs_zero():
     # 0*x = b is inconsistent; 1*x = 0 has the zero solution
     with pytest.raises(InconsistentSystem):
-        solve([{}], {0: c(1)}, 3, 1)
-    assert solve([{0: c(1)}], {}, 3, 1)[0].is_zero()
+        solve([vector({})], vector({0: c(1)}), 3, 1)
+    assert solve([vector({0: c(1)})], vector({}), 3, 1)[0].is_zero()
 
 
 def test_solve_underdetermined_raises():
     with pytest.raises(ArithmeticError):
-        solve([{0: c(1)}, {0: c(2)}], {0: c(1)}, 3, 1)
+        solve([vector({0: c(1)}), vector({0: c(2)})], vector({0: c(1)}),
+              3, 1)
 
 
 def test_intersection_example():
     # span{(1,0),(0,1)} ∩ span{(1,1)} = span{(1,1)}
-    a = [{0: c(1)}, {1: c(1)}]
-    b = [{0: c(1), 1: c(1)}]
+    a = [vector({0: c(1)}), vector({1: c(1)})]
+    b = [vector({0: c(1), 1: c(1)})]
     got = intersect_spans(a, b)
-    assert got == [{0: c(1), 1: c(1)}]
+    assert [fractions(v) for v in got] == [{0: c(1), 1: c(1)}]
 
 
 def test_intersection_transverse_planes():
     # two 2-planes in 3-space meeting in a line
-    a = [{0: c(1)}, {1: c(1)}]
-    b = [{1: c(1)}, {2: c(1)}]
+    a = [vector({0: c(1)}), vector({1: c(1)})]
+    b = [vector({1: c(1)}), vector({2: c(1)})]
     got = intersect_spans(a, b)
-    assert got == [{1: c(1)}]
+    assert [fractions(v) for v in got] == [{1: c(1)}]
 
 
 def test_echelon_canonical_under_insertion_order():
@@ -101,12 +105,50 @@ def test_echelon_canonical_under_insertion_order():
         rng.shuffle(shuffled)
         e = Echelon()
         for r in shuffled:
-            e.insert(dict(r))
-        snapshot = [(pk, sorted(row.items()))
+            e.insert(vector(r))
+        snapshot = [(pk, sorted(fractions(row).items()))
                     for pk, row in sorted(e.rows.items())]
         if reference is None:
             reference = snapshot
         assert snapshot == reference
+        assert_canonical(e)
+
+
+def rbase_products(K):
+    """The vectors of the products g_1^a_1 ... g_r^a_r, a_i < p^o_i, over
+    K's greedy r-base (g_i, o_i): a k-basis of K, entered with the
+    denominators to_vector gives them, not in lowest terms."""
+    elems = [K.ctx.one()]
+    for g, o in K.greedy_rbase():
+        powers = [K.ctx.one()]
+        for _ in range(1, K.ctx.p ** o):
+            powers.append(powers[-1] * g)
+        elems = [e * w for e in elems for w in powers]
+    return [to_vector(e, K.level) for e in elems]
+
+
+@given(random_fields.filter(lambda K: K.degree <= 8),
+       st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_rows_canonical_under_insertion_orders(K, rng):
+    """Whatever the insertion order, after every insert each stored row
+    has a monic denominator equal to its pivot numerator and no factor
+    common to the denominator and all numerators; the rows come out
+    identical, numerators and denominators alike, and equal K's own.
+    (Fields of degree above 8 are left out: eliminating all their
+    products in a random order can run for minutes, with fractions as
+    with numerators over one denominator.)"""
+    vecs = rbase_products(K)
+    own = {piv: (row.num, row.den)
+           for piv, row in K._echelon.rows.items()}
+    for _ in range(3):
+        rng.shuffle(vecs)
+        ech = Echelon()
+        for v in vecs:
+            assert ech.insert(v)
+            assert_canonical(ech)
+        assert {piv: (row.num, row.den)
+                for piv, row in ech.rows.items()} == own
 
 
 def test_solve_substitute_residual_zero_randomized():
@@ -132,7 +174,7 @@ def test_solve_substitute_residual_zero_randomized():
         for xj, col in zip(xs_true, cols):
             rhs = vec_add_scaled(rhs, col, xj)
         try:
-            xs = solve(cols, rhs, p, 1)
+            xs = solve([vector(col, p) for col in cols], vector(rhs, p), p, 1)
         except ArithmeticError:
             continue  # singular draw: not unique, nothing to verify
         residual = dict(rhs)
@@ -153,30 +195,33 @@ def test_block1_rows_hold_no_block0_column(block0, vectors):
     inserted, and the block-1 rows span its vectors that vanish on
     block 0 (dimension: rank minus the rank of the block-0 parts)."""
     x = x_poly()
-    vecs = [{(0 if k in block0 else 1, k): c(v) * x if k % 2 else c(v)
-             for k, v in d.items()} for d in vectors]
+    vecs = [vector({(0 if k in block0 else 1, k): c(v) * x if k % 2 else c(v)
+                    for k, v in d.items()}) for d in vectors]
     ech = Echelon()
     for i, v in enumerate(vecs):
         inserted = vecs[:i + 1]
         assert ech.insert(v) == (rank(inserted) > rank(vecs[:i]))
         block1 = []
         for piv, row in ech.rows.items():
-            assert piv == min(row) and row[piv].is_one()
+            assert piv == min(row.num) and fractions(row)[piv].is_one()
             if piv[0] == 1:
-                assert all(k[0] == 1 for k in row)
+                assert all(k[0] == 1 for k in row.num)
                 block1.append(row)
+        assert_canonical(ech)
         kept = list(ech.rows.values())
         assert rank(kept) == rank(inserted) == rank(kept + inserted)
-        block0_parts = [{k: a for k, a in w.items() if k[0] == 0}
-                        for w in inserted]
+        block0_parts = [vector({k: a for k, a in fractions(w).items()
+                                if k[0] == 0}) for w in inserted]
         assert len(block1) == rank(inserted) - rank(block0_parts)
 
 
 def reduce_by_vec_add_scaled(ech, v):
-    """Reference reduction: one fresh vector per pivot cleared."""
+    """Reference reduction on fractions: one fresh vector per pivot
+    cleared."""
+    v = fractions(v)
     for k in [k for k in v if k in ech.rows]:
-        v = vec_add_scaled(v, ech.rows[k], -v[k])
-    return dict(v)
+        v = vec_add_scaled(v, fractions(ech.rows[k]), -v[k])
+    return v
 
 
 sparse_vectors = st.lists(
@@ -190,7 +235,7 @@ def sparse_vec(d):
     a * (1, x or 1/(x + 1))[e] over F_3(x)."""
     x = x_poly()
     entries = (c(1), x, (x + c(1)).inverse())
-    return {k: c(a) * entries[e] for k, (a, e) in d.items()}
+    return vector({k: c(a) * entries[e] for k, (a, e) in d.items()})
 
 
 @given(sparse_vectors, sparse_vectors)
@@ -202,14 +247,15 @@ def test_reduce_in_place_matches_reference(basis, queries):
     stored = []
     for d in basis:
         ech.insert(sparse_vec(d))
-        stored.extend((row, dict(row)) for row in ech.rows.values())
-    for row, copy in stored:
-        assert row == copy
+        stored.extend((row, dict(row.num), row.den)
+                      for row in ech.rows.values())
+    for row, copy, den in stored:
+        assert row.num == copy and row.den is den
     for d in queries:
         v = sparse_vec(d)
-        before = dict(v)
-        assert ech.reduce(v) == reduce_by_vec_add_scaled(ech, v)
-        assert v == before
+        before = dict(v.num), v.den
+        assert fractions(ech.reduce(v)) == reduce_by_vec_add_scaled(ech, v)
+        assert (v.num, v.den) == before
 
 
 @given(sparse_vectors)
@@ -218,15 +264,18 @@ def test_insert_never_mutates_its_argument(vectors):
     """insert leaves every argument as it was.  When the span grows, the
     new row is the argument itself exactly when the argument held no
     pivot column and was 1 at its smallest column; a vector that had to
-    be cleared or scaled is stored as a new dict."""
+    be cleared or scaled is stored as a new Vec.  (sparse_vec's vectors
+    are in lowest terms, so one that is 1 at its smallest column is a
+    canonical row.)"""
     ech = Echelon()
     for d in vectors:
         v = sparse_vec(d)
-        before = dict(v)
-        clean = v and not any(k in ech.rows for k in v) and v[min(v)].is_one()
+        before = dict(v.num), v.den
+        clean = (v.num and not any(k in ech.rows for k in v.num)
+                 and fractions(v)[min(v.num)].is_one())
         old = set(ech.rows)
         grew = ech.insert(v)
-        assert v == before
+        assert (v.num, v.den) == before
         if grew:
             piv, = set(ech.rows) - old
             assert (ech.rows[piv] is v) == bool(clean)
@@ -249,11 +298,12 @@ def test_intersect_spans_dimension_formula(rows_a, rows_b):
 def test_nullspace_annihilates_rows(rows, n):
     """Every kernel vector annihilates every row, there are n - rank of
     them, and each is 1 at its smallest index."""
-    eqs = [{j: a for j, a in sparse_vec(d).items() if j < n} for d in rows]
+    eqs = [vector({j: a for j, a in fractions(sparse_vec(d)).items()
+                   if j < n}) for d in rows]
     kernel = nullspace(eqs, n, 3, 1)
-    for lam in kernel:
+    for lam in map(fractions, kernel):
         assert lam[min(lam)].is_one()
-        for row in eqs:
+        for row in map(fractions, eqs):
             acc = c(0)
             for j, a in row.items():
                 if j in lam:

@@ -244,6 +244,29 @@ def test_exact_div_by_single_term_matches_divmod(args):
     assert q == mp_divmod(f * m, m)[0]
 
 
+def schoolbook_product(f, g):
+    """f*g as the sum of its term products, one polynomial per term."""
+    out = MultiPoly.zero(f.p, f.nvars)
+    for e, c in f.terms.items():
+        for a, d in g.terms.items():
+            out = out + MultiPoly.monomial(
+                f.p, f.nvars, tuple(x + y for x, y in zip(e, a)), c * d)
+    return out
+
+
+@given(kernel_args())
+@settings(max_examples=150, deadline=None)
+def test_product_by_single_term_matches_schoolbook(args):
+    """A single-term factor shifts the other factor's terms, on either
+    side; 1 returns the other factor itself."""
+    f, m = args
+    assert f * m == m * f == schoolbook_product(f, m)
+    one = MultiPoly.one(f.p, f.nvars)
+    assert one * f == f * one == f
+    if not (f.is_zero() or f.is_one()):
+        assert one * f is f and f * one is f
+
+
 @given(kernel_args(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_exact_div_by_non_dividing_single_term_raises(args, data):
@@ -292,13 +315,12 @@ def test_rat_identity_examples():
 def test_rat_mul_by_one_returns_the_other_factor():
     """A product with 1 is the other factor itself, not an equal copy.
 
-    Products of field vectors (subfields.vec_mul) meet entries equal to
-    1 all the time: every reduced row is 1 at its pivot, and a generator
-    such as rt(X,1) is a single entry 1.  Returning the other factor lets
-    the product share that entry instead of holding an equal copy.  A
-    faster route for monomial factors, placed ahead of this shortcut,
-    made those copies, and raised both the memory and the op time of the
-    towers benchmark workload."""
+    Products meet factors equal to 1 all the time (a fraction read off
+    a reduced row is 1 at its pivot).  Returning the other factor lets
+    the product share it instead of holding an equal copy.  A faster
+    route for monomial factors, placed ahead of this shortcut, made those
+    copies, and raised both the memory and the op time of the towers
+    benchmark workload; MultiPoly products by 1 share the same way."""
     x, y = var(2, 2, 0), var(2, 2, 1)
     a = rf(x + y, x)
     one = RatFunc.one(2, 2)

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinsep import linalg, report, subfields
-from pinsep.linalg import Echelon, nullspace, vec_add_scaled
+from pinsep.linalg import Echelon, InconsistentSystem, Vec, nullspace, solve
 from pinsep.perfect import Context
-from pinsep.polynomials import RatFunc
+from pinsep.polynomials import MultiPoly, RatFunc
 from pinsep.subfields import (InternalInconsistency, Subfield, _log_p,
                               from_vector, to_vector, vec_mul)
 from pinsep.towers import family
 
-from conftest import (fields_equal, quotients, random_element, random_field,
-                      random_fields, rank)
+from conftest import (FractionEchelon, fields_equal, fractions, quotients,
+                      random_element, random_field, random_fields, rank,
+                      vec_add_scaled, vector)
 
 
 @pytest.fixture
@@ -89,15 +90,18 @@ def test_span_brute_force_dimension_oracle(ctx):
 @given(st.sampled_from([2, 3]), st.data())
 @settings(max_examples=40, deadline=None)
 def test_to_vector_of_quotients(p, data):
-    """On elements with a denominator, every coordinate is one canonical
-    fraction keyed below q = p^m, and from_vector inverts to_vector at
-    the element's own level and two levels above it."""
+    """On elements with a denominator, the coordinates are keyed below
+    q = p^m, all over the element's denominator read in x, monic, with
+    no zero numerator; from_vector inverts to_vector at the element's
+    own level and two levels above it."""
     ctx = Context(p, ("X", "Y"))
     e = data.draw(quotients(ctx))
     for m in range(e.level, e.level + 3):
         vec = to_vector(e, m)
-        assert all(x < p ** m for key in vec for x in key)
-        assert all(c == RatFunc(c.num, c.den) for c in vec.values())
+        assert all(x < p ** m for key in vec.num for x in key)
+        assert vec.den == e.body_at_level(m).den
+        assert vec.den.leading()[1] == 1
+        assert all(not c.is_zero() for c in vec.num.values())
         assert from_vector(ctx, vec, m) == e
 
 
@@ -109,8 +113,8 @@ def test_vec_mul_of_quotients_is_vector_of_product(p, data):
     b = data.draw(quotients(ctx))
     low = max(a.level, b.level)
     for m in range(low, low + 2):
-        assert vec_mul(ctx, m, to_vector(a, m), to_vector(b, m)) \
-            == to_vector(a * b, m)
+        assert fractions(vec_mul(ctx, m, to_vector(a, m), to_vector(b, m))) \
+            == fractions(to_vector(a * b, m))
 
 
 # ----------------------------------------------------------------------
@@ -311,15 +315,16 @@ def truncation_by_nullspace(K, n):
     if n >= K.level:
         return K
     step = K.ctx.p ** (K.level - n)
-    rows = K.basis_vectors()
+    rows = [fractions(r) for r in K.basis_vectors()]
     bad = sorted({e for r in rows for e in r if any(x % step for x in e)})
-    eqs = [{i: r[e] for i, r in enumerate(rows) if e in r} for e in bad]
+    eqs = [vector({i: r[e] for i, r in enumerate(rows) if e in r})
+           for e in bad]
     elems = []
     for lam in nullspace(eqs, len(rows), K.ctx.p, K.ctx.nvars):
         v: dict = {}
-        for i, c in lam.items():
+        for i, c in fractions(lam).items():
             v = vec_add_scaled(v, rows[i], c)
-        elems.append(from_vector(K.ctx, v, K.level))
+        elems.append(from_vector(K.ctx, vector(v), K.level))
     return Subfield.span(K.ctx, elems)
 
 
@@ -387,6 +392,11 @@ def test_truncation_inserts_pivoted_rows_once(monkeypatch):
     assert len(inside) < K.degree and k1.degree > 1
 
 
+def row_fractions(rows):
+    """Echelon rows {pivot: Vec} read as {pivot: {key: RatFunc}}."""
+    return {piv: fractions(row) for piv, row in rows.items()}
+
+
 def check_seeded_rows(K, L):
     """Each truncation k_n of K (n below its level) and K ∩ L wrap a
     reduced basis without inserting it: the seeded rows equal those of a
@@ -409,9 +419,10 @@ def check_seeded_rows(K, L):
         factor = field.ctx.p ** (level - field.level)
         ech = Echelon()
         for v in vecs:
-            assert ech.insert({tuple(x // factor for x in e): c
-                               for e, c in v.items()})
-        assert sorted(field._echelon.rows.items()) == sorted(ech.rows.items())
+            assert ech.insert(Vec({tuple(x // factor for x in e): c
+                                   for e, c in v.num.items()}, v.den))
+        assert (row_fractions(field._echelon.rows)
+                == row_fractions(ech.rows))
 
 
 @given(random_fields, st.randoms(use_true_random=False))
@@ -562,14 +573,15 @@ def check_adjoin_from_reduced_rows(K):
             r = F.rel_exponent(e)
             if r == 0:
                 continue
-            before = {piv: (row, dict(row))
+            before = {piv: (row, dict(row.num), row.den)
                       for piv, row in F._echelon.rows.items()}
             rows = F._adjoin_by(e, r)._echelon.rows
-            assert (sorted(rows.items())
-                    == sorted(adjoin_rows_from_scratch(F, e, r).items()))
+            assert (row_fractions(rows)
+                    == row_fractions(adjoin_rows_from_scratch(F, e, r)))
             assert F._echelon.rows.keys() == before.keys()
-            for piv, (row, copy) in before.items():
-                assert F._echelon.rows[piv] is row and row == copy
+            for piv, (row, copy, den) in before.items():
+                assert F._echelon.rows[piv] is row
+                assert row.num == copy and row.den is den
             checked += 1
     return checked
 
@@ -626,19 +638,20 @@ def lifted_degree_log_by_rank(K, n):
     ech = Echelon()
     for r in K.basis_vectors():
         v: dict = {}
-        for e, c in r.items():
+        for e, c in fractions(r).items():
             rem = tuple(x % step for x in e)
             carry = tuple(x // step for x in e)
             coeff = c.scale_exponents(scale)
             if any(carry):
-                coeff = coeff * RatFunc.monomial(p, K.ctx.nvars, carry)
+                coeff = coeff * RatFunc.of_poly(
+                    MultiPoly.monomial(p, K.ctx.nvars, carry))
             prev = v.get(rem)
             s = coeff if prev is None else prev + coeff
             if s.is_zero():
                 v.pop(rem, None)
             else:
                 v[rem] = s
-        ech.insert(v)
+        ech.insert(vector(v))
     return _log_p(len(ech), p)
 
 
@@ -677,3 +690,118 @@ def test_equality_and_repr(ctx):
     L = Subfield.span(ctx, [ctx.root_of_variable("X", 1) + ctx.one()])
     assert K == L
     assert "deg=p^1" in repr(K)
+
+
+# ----------------------------------------------------------------------
+# differential: the echelon against the route over fractions
+# ----------------------------------------------------------------------
+
+STAGES = [("exe1", 3), ("exe2", 3), ("exe4", 3), ("exe6", 2),
+          ("modular_diag", 3), ("nonmodular_basic", None)]
+
+
+def stage(name, n):
+    fam = family(name)
+    return fam.stage(fam.max_stage if n is None else n)
+
+
+def mirror_inserts(monkeypatch):
+    """Run every Echelon.insert also on a FractionEchelon, one per
+    echelon, seeded with that echelon's rows read as fractions.  After
+    each insert both must agree on whether the span grew and on the
+    pivots, and every row the insert made or changed, read as
+    fractions, must equal the reference row.  Returns the list of
+    inserts checked."""
+    mirrors, checked = {}, []
+    real = Echelon.insert
+
+    def insert(self, v):
+        if id(self) not in mirrors:
+            # the echelon is kept with its mirror, so its id stays unique
+            mirrors[id(self)] = self, FractionEchelon(
+                {piv: fractions(row) for piv, row in self.rows.items()})
+        ref = mirrors[id(self)][1]
+        before = dict(self.rows)
+        grew = real(self, v)
+        assert grew == ref.insert(fractions(v))
+        assert self.rows.keys() == ref.rows.keys()
+        for piv, row in self.rows.items():
+            if before.get(piv) is not row:
+                assert fractions(row) == ref.rows[piv], piv
+        checked.append(grew)
+        return grew
+
+    monkeypatch.setattr(Echelon, "insert", insert)
+    return checked
+
+
+def build_everything(K):
+    """Build K's basis afresh from its generators, its first Frobenius
+    image and every truncation: adjunction products, lifted seeds and
+    tagged rows all go through Echelon.insert."""
+    F = Subfield.span(K.ctx, K.gens)
+    F.basis_vectors()
+    F.frobenius_image(1).basis_vectors()
+    for n in range(F.level):
+        F.truncation(n)
+    return F
+
+
+@pytest.mark.parametrize("name,n", STAGES)
+def test_rows_match_fraction_route_on_stages(name, n, monkeypatch):
+    checked = mirror_inserts(monkeypatch)
+    build_everything(stage(name, n))
+    assert any(checked)
+
+
+@given(random_fields)
+@settings(max_examples=20, deadline=None)
+def test_rows_match_fraction_route_random(K):
+    with pytest.MonkeyPatch.context() as mp:
+        checked = mirror_inserts(mp)
+        build_everything(K)
+    assert any(checked)
+
+
+def in_span(K, a):
+    """Whether a lies in K, by a column solve in K's basis (linalg.solve),
+    not a reduction against K's echelon."""
+    if a.level > K.level:
+        return False
+    try:
+        solve(K.basis_vectors(), to_vector(a, K.level), K.ctx.p, K.ctx.nvars)
+    except InconsistentSystem:
+        return False
+    return True
+
+
+def check_member_against_solve(K, rng):
+    """member and rel_exponent agree with in_span on K's generators and
+    their Frobenius powers, products of basis elements and random
+    elements: o = rel_exponent(a) iff a^(p^o) lies in K and, for
+    o >= 1, a^(p^(o-1)) does not."""
+    ctx = K.ctx
+    probes = [g.frob(j) for g in K.gens for j in range(g.level + 1)]
+    basis = K.basis_elements()
+    probes += [rng.choice(basis) * rng.choice(basis) + rng.choice(basis)
+               for _ in range(3)]
+    probes += [rng.choice(basis) / rng.choice(basis) + g.inverse()
+               for g in K.gens if not g.is_zero()]
+    probes += [random_element(ctx, rng, max_level=2, max_terms=2)
+               for _ in range(4)]
+    for a in probes:
+        assert K.member(a) == in_span(K, a), a
+        o = K.rel_exponent(a)
+        assert in_span(K, a.frob(o)), (a, o)
+        assert o == 0 or not in_span(K, a.frob(o - 1)), (a, o)
+
+
+@pytest.mark.parametrize("name,n", STAGES)
+def test_member_matches_solve_on_stages(name, n):
+    check_member_against_solve(stage(name, n), random.Random(1701))
+
+
+@given(random_fields, st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_member_matches_solve_random(K, rng):
+    check_member_against_solve(K, rng)
