@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 
 from . import invariants as inv
-from .subfields import Subfield
+from .linalg import Echelon
+from .subfields import Subfield, to_vector
 
 SCHEMA_VERSION = 1
 
@@ -62,9 +63,12 @@ def oracle_checks(K: Subfield) -> dict:
     k(K^(p^j)) with 1 <= j <= o_1(K/k) + 1 (every image the report, the
     rp chain and the by-di exponents ask about) are built first, so the
     insert check of every adjunction behind them runs before any degree
-    is compared.  The greedy exponents are then re-derived from the
-    degrees of the images, and rbase_extract checks the size of an
-    r-base taken from K's generators against di(K/k).  The disjointness
+    is compared.  Each image is read off K's greedy r-base, so its degree
+    is checked against an independent route: k(K^(p^j)) is the k-span
+    of the b^(p^j) over a k-basis b of K, so its degree is their rank.
+    The greedy exponents are then re-derived from the degrees of the
+    images, and rbase_extract checks the size of an r-base taken from
+    K's generators against di(K/k).  The disjointness
     test computes k_n only where its Frobenius bounds leave [K : k_n]
     open; here every k_n with 1 <= n < o_1(K/k) is computed and checked
     against them.
@@ -72,6 +76,18 @@ def oracle_checks(K: Subfield) -> dict:
     K.basis_vectors()
     for j in range(1, K.level + 2):
         K.frobenius_image(j).basis_vectors()
+    basis = K.basis_elements()
+    for j in range(1, K.level + 2):
+        powers = [b.frob(j) for b in basis]
+        level = max(b.level for b in powers)
+        ech = Echelon()
+        for b in powers:
+            ech.insert(to_vector(b, level))
+        image = K.frobenius_image(j)
+        if len(ech) != image.degree:
+            raise inv.InternalInconsistency(
+                f"k(K^(p^{j})) has degree p^{image.degree_log}, but the "
+                f"p^{j}-th powers of K's basis span {len(ech)} dimensions")
     base = inv.canonical_rbase(K)
     by_di = [inv.exponents_by_di(K, s) for s in range(1, len(base) + 2)]
     greedy = list(base.exponents) + [0]

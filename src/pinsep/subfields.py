@@ -23,6 +23,13 @@ field L and its greedy r-base, so each is built at most once.  A span
 adjoins in greedy order (largest relative exponent first), so its one
 chain of fields yields, and keeps, the greedy r-base.
 
+Frobenius images follow Pickert's theorem (G. Pickert, "Inseparable
+Körpererweiterungen", Math. Z. 52, 1950): if (g_1, o_1), ..., (g_r, o_r)
+is a greedy r-base of K/k, the g_i^(p^j) with o_i > j, in that order,
+are a greedy r-base of k(K^(p^j))/k with exponents o_i - j.  So
+k(K^(p^j)) is the chain adjoining them with those exponents, its degree
+is known at once, and nothing is spanned or scored to make it.
+
 Questions that levels alone settle never build a basis: an element of
 level 0 lies in k and so in every field, an element above a field's
 level lies outside it, and o(a/K) is at most the level of a, since
@@ -214,8 +221,9 @@ class Subfield:
 
     def greedy_rbase(self) -> tuple:
         """Pairs (g, o(g/F)) of the greedy r-base of K/k, in round order.
-        A field that span did not make (a truncation, an intersection,
-        K.adjoin(e)) spans its generators once and keeps that span's."""
+        A span and a Frobenius image carry theirs; any other field (a
+        truncation, an intersection, K.adjoin(e)) spans its generators
+        once and keeps that span's."""
 
         def respan():
             field = Subfield.span(self.ctx, self.gens)
@@ -375,7 +383,16 @@ class Subfield:
         return self.memo(("intersect", other.gens), build)
 
     def frobenius_image(self, j: int) -> "Subfield":
-        """k(K^(p^j)), spanned by the p^j-th powers of the generators.
+        """k(K^(p^j)), read off the greedy r-base of K/k by Pickert's
+        theorem (module docstring): the chain adjoining g^(p^j) with
+        exponent o - j for each pair (g, o) with o > j.  Those g^(p^j) are
+        its generators and those pairs its greedy r-base; its degree,
+        p^(sum of max(o - j, 0)), comes from the tower law, and no basis
+        is built until one is needed, when the insert check of each
+        adjunction runs.  The span of the p^j-th powers of all generators
+        is the tests' reference route (tests/conftest.py), and the oracle
+        checks each image's degree against the rank of the p^j-th powers
+        of K's basis.
 
         Memoized per j: di, rp_chain and the disjointness test share it.
         """
@@ -384,8 +401,17 @@ class Subfield:
                              "use perfect_lift for roots")
         if j == 0:
             return self
-        return self.memo(("frobenius_image", j), lambda: Subfield.span(
-            self.ctx, tuple(g.frob(j) for g in self.gens)))
+
+        def build():
+            pairs = tuple((g.frob(j), o - j)
+                          for g, o in self.greedy_rbase() if o > j)
+            field = Subfield.base(self.ctx)
+            for g, o in pairs:
+                field = field._adjoin_by(g, o)
+            field.memo("greedy_rbase", lambda: pairs)
+            return field
+
+        return self.memo(("frobenius_image", j), build)
 
     def perfect_lift(self, n: int) -> "Subfield":
         """K^(1/p^n) = k(x^(1/p^n), g^(1/p^n)); degree grows by p^(nu*n)."""

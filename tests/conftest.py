@@ -112,6 +112,13 @@ def greedy_rbase_over(K, L):
     return tuple(pairs)
 
 
+def frobenius_image_by_span(K, j):
+    """k(K^(p^j)) as the span of the p^j-th powers of all of K's
+    generators: the reference route for Subfield.frobenius_image, which
+    reads the image off K's greedy r-base."""
+    return Subfield.span(K.ctx, [g.frob(j) for g in K.gens])
+
+
 def greedy_exponents_over(K, L):
     """The exponent list of greedy_rbase_over(K, L)."""
     return tuple(o for _, o in greedy_rbase_over(K, L))

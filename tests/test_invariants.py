@@ -2,7 +2,6 @@
 modularity, equiexponentiality, rp chains, U-tables, parity lengths."""
 
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -312,19 +311,36 @@ def test_oracle_builds_what_the_report_only_counted(ctx, monkeypatch):
 
 
 def test_oracle_builds_the_frobenius_images(ctx, monkeypatch):
-    """The same check inside a Frobenius image of K: in k(K^2) =
-    k(X^(1/2), Y, XY), saying o(XY/F) = 1 for XY, which lies in k, makes
-    an image of claimed degree 2^2.  The oracle builds that image's
-    basis before it compares any degree, so the insert check reports it."""
-    gens = three_gens(ctx)
-    K = Subfield.span(ctx, gens)
-    xy = gens[-1].frob(1)
-    real = Subfield.rel_exponent
+    """The same check inside a Frobenius image of K, which is read off
+    K's greedy r-base ((X^(1/4), 2), (Y^(1/2), 1)).  Saying o = 2 for
+    Y^(1/2) there, one more than the truth, puts (Y, 1) into the chain
+    of k(K^2), though Y lies in k, and makes an image of claimed degree
+    2^2.  The oracle builds that image's basis before it compares any
+    degree, so the insert check reports it."""
+    K = Subfield.span(ctx, three_gens(ctx))
+    (x, ox), (y, oy) = K.greedy_rbase()
     with monkeypatch.context() as mp:
-        mp.setattr(Subfield, "rel_exponent",
-                   lambda self, a: real(self, a) + (a == xy))
+        mp.setattr(Subfield, "greedy_rbase",
+                   lambda self: ((x, ox), (y, oy + 1)))
         assert K.frobenius_image(1).degree_log == 2
     with pytest.raises(InternalInconsistency, match="fell in the span"):
+        report.oracle_checks(K)
+
+
+def test_oracle_checks_image_degrees_by_rank(ctx, monkeypatch):
+    """An understated exponent passes every insert check: saying o = 1
+    for X^(1/4) in K's greedy r-base leaves no pair with o > 1, so
+    k(K^2) reads as k, a field, but too small.  The oracle compares each
+    image's degree with the rank of the squares of K's basis, 2 here,
+    and reports it."""
+    K = Subfield.span(ctx, three_gens(ctx))
+    (x, ox), rest = K.greedy_rbase()
+    with monkeypatch.context() as mp:
+        mp.setattr(Subfield, "greedy_rbase",
+                   lambda self: ((x, ox - 1), rest))
+        assert K.frobenius_image(1).degree_log == 0
+    with pytest.raises(InternalInconsistency,
+                       match="p\\^1-th powers of K's basis span 2"):
         report.oracle_checks(K)
 
 
@@ -642,19 +658,70 @@ def test_modular_deep_p3_field():
 
 
 def test_invariant_report_spans_each_field_once(monkeypatch):
-    """One oracle report builds each k(K^(p^j)) once, however often asked."""
+    """One oracle report constructs each k(K^(p^j)) once, however often
+    asked, and builds one basis per generator tuple for every field of
+    degree above 1: a second chain to the same field would build a
+    second echelon.  (A span shares its basis with the last field of
+    its chain, which has the same generators when it adjoins them in
+    the order given.)"""
     K = family("exe2").stage(3)
-    real = Subfield.span.__func__
-    spans = Counter()
+    real_image = Subfield.frobenius_image
+    images = {}
 
-    def counting_span(cls, ctx, gens):
-        gens = tuple(gens)
-        spans[tuple(g.render() for g in gens)] += 1
-        return real(cls, ctx, gens)
+    def counting_image(self, j):
+        field = real_image(self, j)
+        if j:
+            images.setdefault((id(self), j), set()).add(id(field))
+        return field
 
-    monkeypatch.setattr(Subfield, "span", classmethod(counting_span))
+    real_basis = Subfield._echelon
+    builds = {}
+
+    def recording_basis(self):
+        ech = real_basis.fget(self)
+        if self.degree_log:
+            builds.setdefault(tuple(g.render() for g in self.gens),
+                              set()).add(id(ech))
+        return ech
+
+    monkeypatch.setattr(Subfield, "frobenius_image", counting_image)
+    monkeypatch.setattr(Subfield, "_echelon", property(recording_basis))
     report.invariant_report(K, oracle=True)
-    assert spans and max(spans.values()) == 1, spans
+    assert {j for _, j in images} == set(range(1, K.level + 2))
+    assert all(len(ids) == 1 for ids in images.values()), images
+    for j in range(1, K.level + 2):
+        image = K.frobenius_image(j)
+        if image.degree_log:
+            assert tuple(g.render() for g in image.gens) in builds
+    assert builds and all(len(ids) == 1 for ids in builds.values()), builds
+
+
+@pytest.mark.parametrize("name,n", [("exe1", 3), ("exe2", 3), ("exe4", 3),
+                                    ("exe6", 2), ("modular_diag", 3)])
+def test_reports_build_no_frobenius_image(name, n, monkeypatch):
+    """Without the oracle, the invariant and r-base reports read only the
+    degrees of the Frobenius images: no field made while an image is
+    constructed, the image and its whole chain from k, builds a basis."""
+    K = family(name).stage(n)
+    made = []
+    real_init = Subfield.__init__
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self)
+
+    real_image = Subfield.frobenius_image
+
+    def recording_image(self, j):
+        with monkeypatch.context() as mp:
+            mp.setattr(Subfield, "__init__", recording_init)
+            return real_image(self, j)
+
+    monkeypatch.setattr(Subfield, "frobenius_image", recording_image)
+    report.invariant_report(K)
+    report.rbase_report(K)
+    assert made
+    assert [F for F in made if F._basis is not None] == []
 
 
 # ----------------------------------------------------------------------

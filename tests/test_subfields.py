@@ -16,7 +16,8 @@ from pinsep.subfields import (InternalInconsistency, Subfield, _log_p,
                               from_vector, to_vector, vec_mul)
 from pinsep.towers import family
 
-from conftest import (FractionEchelon, fields_equal, fractions, quotients,
+from conftest import (FractionEchelon, fields_equal, fractions,
+                      frobenius_image_by_span, greedy_rbase_over, quotients,
                       random_element, random_field, random_fields, rank,
                       vec_add_scaled, vector)
 
@@ -805,3 +806,42 @@ def test_member_matches_solve_on_stages(name, n):
 @settings(max_examples=25, deadline=None)
 def test_member_matches_solve_random(K, rng):
     check_member_against_solve(K, rng)
+
+
+# ----------------------------------------------------------------------
+# Frobenius images against the span of the powered generators
+# ----------------------------------------------------------------------
+
+
+def check_frobenius_images_against_span(K):
+    """For 1 <= j <= level + 1, k(K^(p^j)) is the chain of the g^(p^j)
+    with exponents o - j over the pairs (g, o) of K's greedy r-base with
+    o > j: its generators and greedy r-base are those, its degree is
+    p^(sum of max(o - j, 0)), it equals the span of the p^j-th powers
+    of all of K's generators, and the greedy walk over its generators
+    finds those pairs again."""
+    pairs = K.greedy_rbase()
+    for j in range(1, K.level + 2):
+        image = K.frobenius_image(j)
+        chain = tuple((g.frob(j), o - j) for g, o in pairs if o > j)
+        assert image.greedy_rbase() == chain
+        assert image.gens == tuple(g for g, _ in chain)
+        assert image.degree_log == sum(max(o - j, 0) for _, o in pairs)
+        assert fields_equal(image, frobenius_image_by_span(K, j))
+        assert greedy_rbase_over(image, Subfield.base(K.ctx)) == chain
+
+
+def test_frobenius_images_match_span_route(small_corpus):
+    for K in small_corpus:
+        check_frobenius_images_against_span(K)
+
+
+@pytest.mark.parametrize("name,n", STAGES)
+def test_frobenius_images_match_span_route_on_stages(name, n):
+    check_frobenius_images_against_span(stage(name, n))
+
+
+@given(random_fields)
+@settings(max_examples=25, deadline=None)
+def test_frobenius_images_match_span_route_random(K):
+    check_frobenius_images_against_span(K)
