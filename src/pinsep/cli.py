@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Contexts come from a YAML document (path via --context, or '-' for
-stdin); without one, field names resolve to built-in family stages
-("exe1" or "exe1:2").  Output is human-readable by default and a
-versioned JSON report with --json; identical invocations produce
-identical bytes.
+stdin).  A field name is a field of that document or a family stage
+("exe1" or "exe1:2") of the document or of the built-in families.
+Output is human-readable by default and a versioned JSON report with
+--json; identical invocations produce identical bytes.
 
 Exit codes: 0 success, 2 parse/usage errors, 3 ambient-cap errors,
 4 internal inconsistencies (bug witnesses, e.g. oracle disagreement).
@@ -158,31 +158,22 @@ def resolve_family(cfg, name, params) -> TowerFamily:
         return cfg.families[name]
     if name in FAMILIES:
         return make_family(name, **params)
-    raise ConfigError(f"unknown family {name!r}")
+    raise ConfigError(f"unknown family {name!r}; built-in families: "
+                      f"{', '.join(sorted(set(FAMILIES) - {'exe3'}))}")
 
 
 def resolve_field(cfg, name) -> tuple:
-    """Resolve a field reference to (Subfield, display-name)."""
-    if cfg is not None:
-        if name in cfg.fields:
-            return Subfield.span(cfg.ctx, cfg.fields[name]), name
-        if ":" in name:
-            base, _, stage = name.partition(":")
-            if base in cfg.families:
-                fam = cfg.families[base]
-                return fam.stage(int(stage)), name
-        if name in cfg.families:
-            fam = cfg.families[name]
-            return fam.stage(fam.max_stage), name
-        raise ConfigError(f"unknown field {name!r} in the configuration")
+    """Resolve a field reference to (Subfield, display-name): a field of
+    the context document, else NAME[:STAGE] of the family resolve_family
+    finds, at its top stage by default."""
+    if cfg is not None and name in cfg.fields:
+        return Subfield.span(cfg.ctx, cfg.fields[name]), name
     base, _, stage = name.partition(":")
-    if base in FAMILIES:
-        fam = make_family(base)
-        n = int(stage) if stage else fam.max_stage
-        return fam.stage(n), name
-    raise ConfigError(
-        f"unknown field {name!r}; without --context only built-in family "
-        f"stages ({', '.join(sorted(set(FAMILIES) - {'exe3'}))}) resolve")
+    try:
+        fam = resolve_family(cfg, base, {})
+    except ConfigError as exc:
+        raise ConfigError(f"unknown field {name!r} ({exc})") from None
+    return fam.stage(int(stage) if stage else fam.max_stage), name
 
 
 def resolve_pair(cfg, name1, name2) -> tuple:

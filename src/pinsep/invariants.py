@@ -293,9 +293,6 @@ class UTable:
     ilqm_lower_bound: int
     e_at_horizon: int
 
-    def row(self, s):
-        return self.entries[s - 1]
-
 
 def u_table(family, horizon: int, s_max: int) -> UTable:
     """Tabulate U_s^j on the truncation fields of a tower family."""
@@ -380,18 +377,13 @@ class HorizonInsufficient(ValueError):
     """A check needs a larger family horizon; the message says how much."""
 
 
-def truncation_formula_check(family, s: int, n: int) -> bool:
-    """Check K_s^(1/p^n) ∩ K = (predicted span) on a family at finite level.
+def truncation_formula_check(family, n: int) -> bool:
+    """Check k^(1/p^n) ∩ K = (predicted span) on a family at finite level.
 
-    The left side is computed by brute force: a plain truncation for
-    s = 0, and intersection with the lifted field K_s^(1/p^n) otherwise
-    (the lift multiplies degrees by p^(nu*n), so s >= 1 only suits small
-    chunks).  The right side is the span the family predicts.
+    The left side is the truncation k_n of the top stage, computed by
+    brute force; the right side is the span the family predicts for the
+    base stage s = 0.
     """
-    predicted = family.predicted_truncation(s, n)
-    big = family.stage(family.max_stage)
-    if s == 0:
-        lhs = big.truncation(n)
-    else:
-        lhs = family.stage(s).perfect_lift(n).intersect(big)
+    predicted = family.predicted_truncation(0, n)
+    lhs = family.stage(family.max_stage).truncation(n)
     return lhs == Subfield.span(family.ctx, predicted)

@@ -213,14 +213,9 @@ class MultiPoly:
         terms = {e: (v * c) % self.p for e, v in self.terms.items()}
         return MultiPoly._raw(self.p, self.nvars, terms)
 
-    def mul_monomial(self, exp: tuple, c: int = 1):
-        c %= self.p
-        if c == 0:
-            return MultiPoly.zero(self.p, self.nvars)
-        p = self.p
-        terms = {tuple(map(add, e, exp)): v * c % p
-                 for e, v in self.terms.items()}
-        return MultiPoly._raw(p, self.nvars, terms)
+    def mul_monomial(self, exp: tuple):
+        terms = {tuple(map(add, e, exp)): v for e, v in self.terms.items()}
+        return MultiPoly._raw(self.p, self.nvars, terms)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -288,8 +283,10 @@ class VariableCountMismatch(ValueError):
 # call has during elimination, are answered directly: division shifts
 # the exponents down by a and scales by 1/c (ArithmeticError if one would
 # go negative), and gcd(h, c*x^a) = x^min(a, monomial content of h).
-# Otherwise exact division uses the ordinary one-divisor division
-# algorithm in graded-lex order, and the gcd is the classical recursive
+# Otherwise exact division runs the graded-lex division algorithm on a
+# dict of the remaining terms, and raises at the first leading term that
+# lt(g) does not divide: every multiple of g has a leading term that
+# lt(g) divides.  The gcd is the classical recursive
 # scheme: strip monomial content, take as the main variable the active
 # one of least degree (the highest on ties), split into content and
 # primitive part, and run the subresultant pseudo-remainder sequence on
@@ -308,35 +305,11 @@ class VariableCountMismatch(ValueError):
 # ----------------------------------------------------------------------
 
 
-def mp_divmod(f: MultiPoly, g: MultiPoly):
-    """Quotient and remainder of f by the single divisor g (graded-lex)."""
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    p, nv = f.p, f.nvars
-    q = MultiPoly.zero(p, nv)
-    r = MultiPoly.zero(p, nv)
-    ge, gc = g.leading()
-    gcinv = pow(gc, p - 2, p)
-    work = f
-    while not work.is_zero():
-        we, wc = work.leading()
-        exp = tuple(a - b for a, b in zip(we, ge))
-        if min(exp) >= 0:
-            coeff = (wc * gcinv) % p
-            mono = MultiPoly.monomial(p, nv, exp, coeff)
-            q = q + mono
-            work = work - g.mul_monomial(exp, coeff)
-        else:
-            mono = MultiPoly.monomial(p, nv, we, wc)
-            r = r + mono
-            work = work - mono
-    return q, r
-
-
 def mp_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """f / g, for a g that divides f; ArithmeticError if it does not."""
+    f._check(g)
+    p = f.p
     if len(g.terms) == 1:
-        f._check(g)
-        p = f.p
         (a, c), = g.terms.items()
         inv = pow(c, p - 2, p)
         terms = {}
@@ -346,10 +319,28 @@ def mp_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 raise ArithmeticError("division was expected to be exact")
             terms[q] = v * inv % p
         return MultiPoly._raw(p, f.nvars, terms)
-    q, r = mp_divmod(f, g)
-    if not r.is_zero():
-        raise ArithmeticError("division was expected to be exact")
-    return q
+    if not g.terms:
+        raise ZeroDivisionError("polynomial division by zero")
+    ge, gc = g.leading()
+    inv = pow(gc, p - 2, p)
+    tail = [(e, c) for e, c in g.terms.items() if e != ge]
+    work = dict(f.terms)
+    quot = {}
+    while work:
+        we = max(work, key=grlex_key)
+        qe = tuple(map(sub, we, ge))
+        if min(qe) < 0:
+            raise ArithmeticError("division was expected to be exact")
+        qc = work.pop(we) * inv % p
+        quot[qe] = qc
+        for e, c in tail:
+            t = tuple(map(add, e, qe))
+            s = (work.get(t, 0) - qc * c) % p
+            if s:
+                work[t] = s
+            else:
+                work.pop(t, None)
+    return MultiPoly._raw(p, f.nvars, quot)
 
 
 def _monomial_content(f: MultiPoly) -> tuple:
@@ -570,11 +561,14 @@ class RatFunc:
             return RatFunc.of_poly(self.num + other.num)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
-        # shared denominator factors are the norm during elimination;
-        # splitting them off first keeps the reduction gcds small, and the
-        # residual common factor of the sum can only divide the shared part;
-        # a sum of zero would need da = db = 1, the equal-denominator case,
-        # and den, built from monic factors and quotients, stays monic
+        # these sums come from element arithmetic (parsing, family
+        # generators) and the tests' FractionEchelon reference, not from
+        # elimination, which combines linalg.Vec numerators; their
+        # denominators often share factors.  Splitting the shared part off
+        # first keeps the gcds small, and the residual common factor of
+        # the sum can only divide the shared part; a sum of zero would need
+        # da = db = 1, the equal-denominator case, and den, built from
+        # monic factors and quotients, stays monic
         g = mp_gcd(self.den, other.den)
         if g.is_one():
             return RatFunc(self.num * other.den + other.num * self.den,
@@ -623,9 +617,6 @@ class RatFunc:
 
     def __truediv__(self, other):
         return self * other.inverse()
-
-    def scale(self, c: int):
-        return RatFunc(self.num.scale(c), self.den, _normalized=c % self.p != 0)
 
     def scale_exponents(self, k: int):
         """Substitute x_i -> x_i^k in num and den (Frobenius for k = p^j)."""

@@ -258,9 +258,6 @@ class Subfield:
         """
         if r == 0:
             return self
-        key = ("adjoin", e)
-        if key in self._cache:
-            return self._cache[key]
         ctx = self.ctx
         m = max(self.level, e.level)
         ctx.check_level(m)
@@ -283,10 +280,9 @@ class Subfield:
                             f"against [K(e) : K] = {ctx.p}^{r}")
             return ech
 
-        field = Subfield(ctx, m, self.gens + (e,), self.degree_log + r, build,
-                         _private=_TOKEN)
-        self._cache[key] = field
-        return field
+        return self.memo(("adjoin", e), lambda: Subfield(
+            ctx, m, self.gens + (e,), self.degree_log + r, build,
+            _private=_TOKEN))
 
     @classmethod
     def _from_vectors(cls, ctx, level, vecs) -> "Subfield":
@@ -397,8 +393,7 @@ class Subfield:
         Memoized per j: di, rp_chain and the disjointness test share it.
         """
         if j < 0:
-            raise ValueError("frobenius_image takes j >= 0; "
-                             "use perfect_lift for roots")
+            raise ValueError(f"frobenius_image takes j >= 0, got {j}")
         if j == 0:
             return self
 
@@ -412,11 +407,6 @@ class Subfield:
             return field
 
         return self.memo(("frobenius_image", j), build)
-
-    def perfect_lift(self, n: int) -> "Subfield":
-        """K^(1/p^n) = k(x^(1/p^n), g^(1/p^n)); degree grows by p^(nu*n)."""
-        roots = tuple(self.ctx.root_of_variable(v, n) for v in self.ctx.variables)
-        return Subfield.span(self.ctx, roots + tuple(g.frob(-n) for g in self.gens))
 
     def truncation(self, n: int) -> "Subfield":
         """k_n = K ∩ A_n, read off the rows of K pivoted inside A_n.

@@ -416,10 +416,10 @@ def exe6(i_max: int = 2, n_max: int = 2, p: int = 2) -> TowerFamily:
 
     def claims_builder(fam):
         def smoke():
-            return inv.truncation_formula_check(fam, 0, 1)
+            return inv.truncation_formula_check(fam, 1)
 
         def parity_step():
-            return inv.truncation_formula_check(fam, 0, 2) if n_max >= 2 else True
+            return inv.truncation_formula_check(fam, 2) if n_max >= 2 else True
 
         return [
             Claim("halving_truncation_n1",

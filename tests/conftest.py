@@ -13,6 +13,23 @@ from pinsep.subfields import Subfield
 VAR_NAMES = ("X", "Y", "Z")
 
 
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config):
+    """Without --hypothesis-seed, draw a random seed and force it through
+    that option, so a run can be replayed, slow draws included, with
+    --hypothesis-seed=N: hypothesis prints no seed for a passing
+    example.  Under a forced seed hypothesis neither replays nor saves
+    examples in its database.  This hook runs before the hypothesis
+    plugin reads the option."""
+    if config.option.hypothesis_seed is None:
+        config.option.hypothesis_seed = random.getrandbits(32)
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    terminalreporter.write_line(
+        f"hypothesis seed: {config.option.hypothesis_seed}")
+
+
 def random_element(ctx, rng, max_level=2, max_terms=3):
     """A random element of bounded level with small polynomial body."""
     e = ctx.zero()
@@ -91,6 +108,15 @@ def acceptance_corpus():
 def fields_equal(a, b):
     return (a.degree_log == b.degree_log and a.contains_field(b)
             and b.contains_field(a))
+
+
+def perfect_lift(K, n):
+    """K^(1/p^n) = k(x^(1/p^n), g^(1/p^n)), whose degree over k is
+    [K : k] * p^(nu*n): the brute-force side of the truncation formula
+    K_s^(1/p^n) ∩ K for s >= 1."""
+    ctx = K.ctx
+    roots = [ctx.root_of_variable(v, n) for v in ctx.variables]
+    return Subfield.span(ctx, roots + [g.frob(-n) for g in K.gens])
 
 
 def greedy_rbase_over(K, L):

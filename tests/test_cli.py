@@ -461,6 +461,22 @@ def test_family_n_selects_the_stage(config_path, in_context, name, n):
     assert err.startswith("error[parse]:") and "got 9" in err
 
 
+def test_builtin_stage_resolves_under_context(config_path):
+    """A field name that is no field of the context document resolves as
+    a family stage, built-in families included; an unknown one is a parse
+    error naming the built-in families."""
+    got = run_cli("--context", config_path, "--json", "invariants", "exe1:2")
+    assert got[0] == 0
+    assert got == run_cli("--json", "invariants", "exe1:2")
+    assert run_cli("--context", config_path, "intersect", "K", "exe1:2") == (
+        2, "", "error[parse]: the two fields live in different contexts\n")
+    for pre in ([], ["--context", config_path]):
+        rc, out, err = run_cli(*pre, "invariants", "NOPE:2")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error[parse]: unknown field 'NOPE:2'")
+        assert "exe1, exe2, exe4, exe6, modular_diag, nonmodular_basic" in err
+
+
 def test_builtin_field_without_context():
     rc, out, _ = run_cli("--json", "modular", "nonmodular_basic")
     rep = json.loads(out)

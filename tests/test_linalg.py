@@ -162,7 +162,8 @@ def test_solve_substitute_residual_zero_randomized():
         def entry():
             k = rng.randint(0, 2)
             base = RatFunc.const(p, 1, rng.randint(0, p - 1))
-            return base + x.scale(rng.randint(0, 1)) if k == 2 else base
+            return (base + x * RatFunc.const(p, 1, rng.randint(0, 1))
+                    if k == 2 else base)
 
         cols = []
         for j in range(n):

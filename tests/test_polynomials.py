@@ -9,7 +9,7 @@ from pinsep.exprs import render_element
 from pinsep.perfect import Context, PerfElem
 from pinsep.polynomials import (MultiPoly, RatFunc, VariableCountMismatch,
                                 _gcd_core, _make_monic, _monomial_content,
-                                _shift_down, mp_divmod, mp_exact_div, mp_gcd)
+                                _shift_down, mp_exact_div, mp_gcd)
 
 from conftest import partial_derivative
 
@@ -120,6 +120,31 @@ def test_partial_derivative_examples():
 # ----------------------------------------------------------------------
 # Division and gcd
 # ----------------------------------------------------------------------
+
+
+def mp_divmod(f, g):
+    """Quotient and remainder of f by the single divisor g in graded-lex
+    order, each built as a polynomial: the divisibility reference for
+    mp_exact_div, which builds no remainder."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    p, nv = f.p, f.nvars
+    q = r = MultiPoly.zero(p, nv)
+    ge, gc = g.leading()
+    gcinv = pow(gc, p - 2, p)
+    work = f
+    while not work.is_zero():
+        we, wc = work.leading()
+        exp = tuple(a - b for a, b in zip(we, ge))
+        if min(exp) >= 0:
+            mono = MultiPoly.monomial(p, nv, exp, wc * gcinv)
+            q = q + mono
+            work = work - g * mono
+        else:
+            mono = MultiPoly.monomial(p, nv, we, wc)
+            r = r + mono
+            work = work - mono
+    return q, r
 
 
 def test_exact_division_roundtrip():
@@ -242,6 +267,33 @@ def test_exact_div_by_single_term_matches_divmod(args):
     q = mp_exact_div(f * m, m)
     assert q == f
     assert q == mp_divmod(f * m, m)[0]
+
+
+@st.composite
+def multi_term_divisions(draw):
+    """(f, g) over F_p, p in {2, 3, 5}, with 1 to 3 variables and g of at
+    least two terms."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.integers(1, 3))
+    g = draw(polys(p=p, nvars=nvars).filter(lambda g: len(g.terms) > 1))
+    return draw(polys(p=p, nvars=nvars)), g
+
+
+@given(multi_term_divisions())
+@settings(max_examples=150, deadline=None)
+def test_exact_div_by_multi_term_divisor_matches_divmod(args):
+    """mp_exact_div undoes a product, and raises exactly where mp_divmod
+    leaves a remainder; division by 0 raises ZeroDivisionError."""
+    f, g = args
+    assert mp_exact_div(f * g, g) == f
+    q, r = mp_divmod(f, g)
+    if r.is_zero():
+        assert mp_exact_div(f, g) == q
+    else:
+        with pytest.raises(ArithmeticError):
+            mp_exact_div(f, g)
+    with pytest.raises(ZeroDivisionError):
+        mp_exact_div(f, MultiPoly.zero(f.p, f.nvars))
 
 
 def schoolbook_product(f, g):

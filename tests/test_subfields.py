@@ -17,9 +17,9 @@ from pinsep.subfields import (InternalInconsistency, Subfield, _log_p,
 from pinsep.towers import family
 
 from conftest import (FractionEchelon, fields_equal, fractions,
-                      frobenius_image_by_span, greedy_rbase_over, quotients,
-                      random_element, random_field, random_fields, rank,
-                      vec_add_scaled, vector)
+                      frobenius_image_by_span, greedy_rbase_over,
+                      perfect_lift, quotients, random_element, random_field,
+                      random_fields, rank, vec_add_scaled, vector)
 
 
 @pytest.fixture
@@ -667,7 +667,7 @@ def test_degree_over_lifted_base_matches_rank(small_corpus):
 def test_perfect_lift_degree(ctx):
     small = Context(2, ("X", "Y"))
     K = Subfield.span(small, [small.root_of_variable("X", 1)])
-    lifted = K.perfect_lift(1)
+    lifted = perfect_lift(K, 1)
     # [K^(1/p) : k] = [K : k] * p^nu = 2 * 4 = 8
     assert lifted.degree_log == 3
     assert lifted.member(small.root_of_variable("X", 2))
