@@ -151,12 +151,17 @@ def _custom_family(ctx, name, entry, bindings) -> TowerFamily:
 # ----------------------------------------------------------------------
 
 
-def resolve_family(cfg, name, params) -> TowerFamily:
+def resolve_family(cfg, name, params, n=None) -> TowerFamily:
+    """A document family, which takes no parameters, else a built-in one;
+    a stage n is also the parameter n of exe1, exe2 and exe4."""
     if cfg is not None and name in cfg.families:
         if params:
             raise ConfigError("config families take no parameters")
         return cfg.families[name]
-    if name in FAMILIES:
+    builder = FAMILIES.get(name)
+    if builder is not None:
+        if n is not None and "n" in inspect.signature(builder).parameters:
+            params = dict(params, n=n)
         return make_family(name, **params)
     raise ConfigError(f"unknown family {name!r}; built-in families: "
                       f"{', '.join(sorted(set(FAMILIES) - {'exe3'}))}")
@@ -168,12 +173,13 @@ def resolve_field(cfg, name) -> tuple:
     finds, at its top stage by default."""
     if cfg is not None and name in cfg.fields:
         return Subfield.span(cfg.ctx, cfg.fields[name]), name
-    base, _, stage = name.partition(":")
+    base, colon, stage = name.partition(":")
     try:
         fam = resolve_family(cfg, base, {})
     except ConfigError as exc:
         raise ConfigError(f"unknown field {name!r} ({exc})") from None
-    return fam.stage(int(stage) if stage else fam.max_stage), name
+    return fam.stage(_integer(stage, f"the stage of field {name!r}")
+                     if colon else fam.max_stage), name
 
 
 def resolve_pair(cfg, name1, name2) -> tuple:
@@ -185,6 +191,13 @@ def resolve_pair(cfg, name1, name2) -> tuple:
     return K, L, (kname, lname)
 
 
+def _integer(text, what) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be an integer, got {text!r}") from None
+
+
 def parse_params(text) -> dict:
     out = {}
     if not text:
@@ -193,7 +206,7 @@ def parse_params(text) -> dict:
         if "=" not in part:
             raise ConfigError(f"bad parameter {part!r}; expected key=value")
         k, _, v = part.partition("=")
-        out[k.strip()] = int(v)
+        out[k.strip()] = _integer(v, f"parameter {k.strip()!r}")
     return out
 
 
@@ -232,14 +245,9 @@ def cmd_truncate(args, cfg):
     _emit(args, rpt.truncate_report(K, args.n, name=name))
 
 
-def cmd_intersect(args, cfg):
+def cmd_lattice(args, cfg):
     K, L, names = resolve_pair(cfg, args.field1, args.field2)
-    _emit(args, rpt.lattice_report("intersect", K, L, names))
-
-
-def cmd_compositum(args, cfg):
-    K, L, names = resolve_pair(cfg, args.field1, args.field2)
-    _emit(args, rpt.lattice_report("compositum", K, L, names))
+    _emit(args, rpt.lattice_report(args.command, K, L, names))
 
 
 def cmd_member(args, cfg):
@@ -255,15 +263,7 @@ def cmd_family(args, cfg):
         raise ConfigError(f"family claims takes no --{given[0]}")
     if args.smax is not None and args.horizon is None:
         raise ConfigError("family invariants takes --smax only with --horizon")
-    params = parse_params(args.params)
-    # --n selects the stage; a built-in family whose constructor takes n
-    # (exe1, exe2, exe4) gets it as that parameter too, its top stage
-    builder = (None if cfg is not None and args.name in cfg.families
-               else FAMILIES.get(args.name))
-    if (args.n is not None and builder is not None
-            and "n" in inspect.signature(builder).parameters):
-        params["n"] = args.n
-    fam = resolve_family(cfg, args.name, params)
+    fam = resolve_family(cfg, args.name, parse_params(args.params), args.n)
     if args.sub == "claims":
         rep = rpt.claims_report(fam)
         _emit(args, rep)
@@ -331,12 +331,12 @@ def build_parser():
     sp = sub.add_parser("intersect", help="intersection of two fields")
     sp.add_argument("field1")
     sp.add_argument("field2")
-    sp.set_defaults(fn=cmd_intersect)
+    sp.set_defaults(fn=cmd_lattice)
 
     sp = sub.add_parser("compositum", help="compositum of two fields")
     sp.add_argument("field1")
     sp.add_argument("field2")
-    sp.set_defaults(fn=cmd_compositum)
+    sp.set_defaults(fn=cmd_lattice)
 
     sp = sub.add_parser("member", help="exact membership test")
     sp.add_argument("element")

@@ -17,11 +17,11 @@ basis, the base field's one row included, is built on first use, checked
 to have exactly that dimension, and never changes afterwards.  K(e)'s
 build starts from K's reduced rows and inserts only the products with
 e, e^2, ..., each as it is made, so it holds its basis and at most one
-layer of products.  Each field memoizes its adjunctions K(e), its
-Frobenius images k(K^(p^j)), its compositum and intersection with each
-field L and its greedy r-base, so each is built at most once.  A span
-adjoins in greedy order (largest relative exponent first), so its one
-chain of fields yields, and keeps, the greedy r-base.
+layer of products.  A chain's fields hold only their parents.  Each
+field memoizes its Frobenius images k(K^(p^j)), its compositum and
+intersection with each field L and its greedy r-base.  A span adjoins
+in greedy order (largest relative exponent first), and is the last
+field of that one chain, which keeps the greedy r-base.
 
 Frobenius images follow Pickert's theorem (G. Pickert, "Inseparable
 Körpererweiterungen", Math. Z. 52, 1950): if (g_1, o_1), ..., (g_r, o_r)
@@ -198,7 +198,8 @@ class Subfield:
         Each round adjoins to the current field F a generator g of maximal
         o(g/F), the first by index.  o(g/F) only falls as F grows, so one
         with o(g/F) = 0 is dropped for good.  The rounds' pairs (g, o) are
-        the result's greedy_rbase(); its gens stay the tuple given.
+        the result's greedy_rbase(); its gens are the tuple given.  It is
+        the chain's last field, which nothing else holds yet.
         """
         field, pairs = cls.base(ctx), []
         gens = remaining = tuple(gens)
@@ -210,10 +211,9 @@ class Subfield:
             pairs.append((g, o))
             field = field._adjoin_by(g, o)
             remaining = [h for r, h in scored if r and h is not g]
-        out = cls(ctx, field.level, gens, field.degree_log,
-                  lambda: field._echelon, _private=_TOKEN)
-        out.memo("greedy_rbase", lambda: tuple(pairs))
-        return out
+        field.gens = gens
+        field.memo("greedy_rbase", lambda: tuple(pairs))
+        return field
 
     def adjoin(self, e: PerfElem) -> "Subfield":
         """K(e) by the tower law [K(e) : K] = p^r with r = o(e/K)."""
@@ -253,8 +253,8 @@ class Subfield:
         built; an r that is too small goes undetected and yields a proper
         subspace of K(e), not a field.
 
-        The result is memoized on K per e, so each field of a chain is
-        constructed, and its basis built, once.
+        Each call makes a new field.  It holds K, its parent, until its
+        basis is built; K holds nothing of it.
         """
         if r == 0:
             return self
@@ -280,9 +280,8 @@ class Subfield:
                             f"against [K(e) : K] = {ctx.p}^{r}")
             return ech
 
-        return self.memo(("adjoin", e), lambda: Subfield(
-            ctx, m, self.gens + (e,), self.degree_log + r, build,
-            _private=_TOKEN))
+        return Subfield(ctx, m, self.gens + (e,), self.degree_log + r, build,
+                        _private=_TOKEN)
 
     @classmethod
     def _from_vectors(cls, ctx, level, vecs) -> "Subfield":

@@ -657,10 +657,14 @@ def test_exit_codes(config_path, tmp_path):
     (["utable", "exe1", "--horizon", "2", "--smax", "1", "--params", "q=1"],
      "family 'exe1'"),
     (["utable", "exe1", "--horizon", "0", "--smax", "1"], "horizon=0"),
-], ids=["unknown_n", "unknown_param", "zero_horizon"])
+    (["family", "exe1", "invariants", "--params", "n=x"], "parameter 'n'"),
+    (["invariants", "exe1:"], "the stage of field 'exe1:'"),
+    (["invariants", "exe1:abc"], "the stage of field 'exe1:abc'"),
+], ids=["unknown_n", "unknown_param", "zero_horizon", "param_not_integer",
+        "empty_stage", "stage_not_integer"])
 def test_bad_family_parameters_are_parse_errors(argv, needle):
-    rc, _, err = run_cli(*argv)
-    assert rc == 2
+    rc, out, err = run_cli(*argv)
+    assert (rc, out) == (2, "")
     assert err.startswith("error[parse]:") and needle in err
 
 
@@ -760,3 +764,19 @@ def test_golden_reports(name, args):
     assert rc == 0, err
     expected = (GOLDEN / name).read_text()
     assert out == expected
+
+
+@pytest.mark.parametrize("name,args", [
+    (name, args) for name, args in make_goldens.REPORTS.items()
+    if "invariants" in args])
+def test_golden_reports_under_oracle(name, args):
+    """--oracle adds its agreeing checks and leaves the rest of an
+    invariant report byte-identical to its golden file."""
+    rc, out, err = run_cli("--oracle", *args)
+    assert rc == 0, err
+    rep = json.loads(out)
+    oracle = rep.pop("oracle")
+    assert report.to_json(rep) + "\n" == (GOLDEN / name).read_text()
+    assert oracle == {"exponents_by_di": rep["exponents"] + [0],
+                      "di_decomposition": True,
+                      "modularity_methods_agree": True}

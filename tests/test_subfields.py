@@ -1,6 +1,7 @@
 """Subfield lattice operations: span, membership, compositum, intersection,
 Frobenius images, truncations, linear disjointness, relative exponents."""
 
+import gc
 import random
 import tracemalloc
 from unittest import mock
@@ -8,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinsep import linalg, report, subfields
+from pinsep import invariants, linalg, report, subfields
 from pinsep.linalg import Echelon, InconsistentSystem, Vec, nullspace, solve
 from pinsep.perfect import Context
 from pinsep.polynomials import MultiPoly, RatFunc
@@ -597,12 +598,57 @@ def test_adjoin_from_reduced_rows_matches_full_build_random(K):
     check_adjoin_from_reduced_rows(K)
 
 
-def test_adjoin_is_memoized(ctx):
-    """K(e) is constructed once per field and element; r = 0 gives K."""
+def test_adjoin_of_a_member_is_the_field(ctx):
+    """r = o(e/K) = 0 gives K itself."""
     K = Subfield.span(ctx, roots(ctx, [("X", 1)]))
-    e = ctx.root_of_variable("Y", 1)
-    assert K.adjoin(e) is K.adjoin(e)
     assert K.adjoin(ctx.root_of_variable("X", 1)) is K
+
+
+def test_span_makes_one_field_per_round(ctx, monkeypatch):
+    """A span constructs k and one field per adjunction round, and is the
+    last of them, with the generators given."""
+    made = []
+    init = Subfield.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subfield, "__init__", counting_init)
+    # X^(1/2) lies in k(X^(1/4)), so it gets no round of its own
+    gens = tuple(roots(ctx, [("Y", 1), ("X", 2), ("X", 1), ("Z", 1)]))
+    K = Subfield.span(ctx, gens)
+    assert [o for _, o in K.greedy_rbase()] == [2, 1, 1]
+    assert len(made) == 4 and made[-1] is K
+    assert K.gens == gens and K.degree_log == 4
+
+
+def test_fields_leave_no_cycles(small_corpus):
+    """A field holds only its parents, so spans and the reports read off
+    them are freed by reference counting alone: with the cycle collector
+    off, a collection finds no Subfield among the unreachable objects."""
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    start = len(gc.garbage)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for F in small_corpus[:10]:
+            K = Subfield.span(F.ctx, F.gens)
+            report.invariant_report(K)
+            report.rbase_report(K)
+            K2 = Subfield.span(F.ctx, F.gens[::-1])
+            invariants.canonical_rbase(K2)
+            invariants.rbase_extract(K2)
+        del F, K, K2
+        gc.collect()
+        left = [o for o in gc.garbage[start:] if isinstance(o, Subfield)]
+    finally:
+        del gc.garbage[start:]
+        gc.set_debug(debug)
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 def test_adjoin_checks_tower_law(ctx, monkeypatch):
