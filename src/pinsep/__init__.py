@@ -6,13 +6,13 @@ lengths driving the halving truncation formulas.
 """
 
 from .exprs import parse_element, render_element
-from .invariants import (RBase, UTable, ParityLengths, canonical_rbase,
+from .invariants import (UTable, ParityLengths, canonical_rbase,
                          defining_equations, di, exponents_by_di,
                          is_equiexponential, is_modular, parity_lengths,
                          rbase_extract, rp_chain, u_table)
 from .perfect import CapExceeded, Context, PerfElem
 from .polynomials import MultiPoly, RatFunc
-from .subfields import Subfield
+from .subfields import RBase, Subfield
 from .towers import TowerFamily, family
 
 __all__ = [

@@ -112,17 +112,12 @@ def load_config(text: str) -> ContextConfig:
 
 
 def _custom_family(ctx, name, entry, bindings) -> TowerFamily:
+    """A document family; its top stage defaults to a schedule's last
+    listed stage, or to 3 for a template."""
     if not isinstance(entry, dict):
         raise ConfigError(f"family {name!r} must be a mapping")
-    try:
-        max_stage = int(entry.get("max_stage", 3))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"family {name!r}: 'max_stage' must be an integer: "
-                          f"{exc}") from exc
     schedule_map = entry.get("schedule")
     template = entry.get("template")
-    if schedule_map is None and template is None:
-        raise ConfigError(f"family {name!r} needs a schedule or a template")
     if schedule_map is not None and not (
             isinstance(schedule_map, dict)
             and all(isinstance(v, list) for v in schedule_map.values())):
@@ -131,12 +126,21 @@ def _custom_family(ctx, name, entry, bindings) -> TowerFamily:
     if template is not None and not isinstance(template, list):
         raise ConfigError(f"family {name!r}: 'template' must be a list "
                           f"of expressions")
+    stages = {_integer(str(k), f"family {name!r}: a 'schedule' stage"): exprs
+              for k, exprs in (schedule_map or {}).items()}
+    try:
+        max_stage = int(entry.get("max_stage", max(stages) if stages else 3))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"family {name!r}: 'max_stage' must be an integer: "
+                          f"{exc}") from exc
+    if schedule_map is None and template is None:
+        raise ConfigError(f"family {name!r} needs a schedule or a template")
 
     def schedule(n):
         if schedule_map is not None:
-            if n not in schedule_map and str(n) not in schedule_map:
+            if n not in stages:
                 raise ConfigError(f"family {name!r} has no stage {n}")
-            exprs = schedule_map.get(n, schedule_map.get(str(n)))
+            exprs = stages[n]
         else:
             exprs = ([str(t).replace("$n", str(n)) for t in template]
                      if n else [])
@@ -153,7 +157,8 @@ def _custom_family(ctx, name, entry, bindings) -> TowerFamily:
 
 def resolve_family(cfg, name, params, n=None) -> TowerFamily:
     """A document family, which takes no parameters, else a built-in one;
-    a stage n is also the parameter n of exe1, exe2 and exe4."""
+    a stage n is also the parameter n of exe1, exe2 and exe4, and must
+    then agree with an n given among the parameters."""
     if cfg is not None and name in cfg.families:
         if params:
             raise ConfigError("config families take no parameters")
@@ -161,6 +166,9 @@ def resolve_family(cfg, name, params, n=None) -> TowerFamily:
     builder = FAMILIES.get(name)
     if builder is not None:
         if n is not None and "n" in inspect.signature(builder).parameters:
+            if params.get("n", n) != n:
+                raise ConfigError(f"--n {n} and --params n={params['n']} "
+                                  f"differ")
             params = dict(params, n=n)
         return make_family(name, **params)
     raise ConfigError(f"unknown family {name!r}; built-in families: "

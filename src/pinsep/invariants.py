@@ -17,22 +17,7 @@ from dataclasses import dataclass
 
 from .linalg import InconsistentSystem, solve
 from .perfect import PerfElem
-from .subfields import InternalInconsistency, Subfield, to_vector
-
-
-@dataclass(frozen=True)
-class RBase:
-    """An r-base of K/k; ordered variants carry the exponent list.
-
-    For a canonically ordered r-base the exponents are the invariants
-    o_1(K/k) >= o_2(K/k) >= ... of K/k.
-    """
-
-    elements: tuple
-    exponents: tuple = None
-
-    def __len__(self):
-        return len(self.elements)
+from .subfields import InternalInconsistency, RBase, Subfield, to_vector
 
 
 # ----------------------------------------------------------------------
@@ -72,18 +57,10 @@ def di(K: Subfield) -> int:
 
 
 def canonical_rbase(K: Subfield) -> RBase:
-    """K.greedy_rbase() as an RBase, built once per field and kept on K.
-    Its exponent list (o_1(K/k), o_2(K/k), ...) does not depend on the
-    choices made, and is checked here to be non-increasing.
-    """
-
-    def build():
-        elements, exponents = tuple(zip(*K.greedy_rbase())) or ((), ())
-        if any(a < b for a, b in zip(exponents, exponents[1:])):
-            raise InternalInconsistency("canonical exponent list increased")
-        return RBase(elements, exponents)
-
-    return K.memo("canonical_rbase", build)
+    """K.greedy_rbase(), the one RBase kept on K.  Its exponent list
+    (o_1(K/k), o_2(K/k), ...), checked by the span that recorded it not
+    to increase, does not depend on the choices made."""
+    return K.greedy_rbase()
 
 
 def exponents_by_di(K: Subfield, s: int) -> int:
@@ -114,20 +91,20 @@ def _lambda_exponents(exponents, j, p):
     return [tuple(eps) for eps in itertools.product(*ranges)]
 
 
-def defining_equations(K: Subfield, B: RBase) -> dict:
+def defining_equations(K: Subfield) -> dict:
     """Coefficients C of alpha_j^(p^m_j) = sum_eps C[(j, eps)] * w_eps.
 
+    alpha_j and m_j are the elements and exponents of K.greedy_rbase().
     w_eps runs over the monomials (alpha_1, ..., alpha_{j-1})^(p^m_j * eps)
     with eps in the box {0 <= eps_t < p^(m_t - m_j)}; the coefficients are
     the unique elements of k expressing the relation, solved exactly, and
     are returned as level-0 PerfElem.  They are solved once per field and
-    r-base and kept on K (the modularity criterion and the r-base report
-    both ask), so the returned dict is shared and must not be changed.
+    kept on K (the modularity criterion and the r-base report both ask),
+    so the returned dict is shared and must not be changed.
     """
-    if B.exponents is None:
-        raise ValueError("defining equations need an ordered r-base")
 
     def solve_all():
+        B = K.greedy_rbase()
         p = K.ctx.p
         out = {}
         for j in range(2, len(B) + 1):
@@ -155,7 +132,7 @@ def defining_equations(K: Subfield, B: RBase) -> dict:
                 out[(j, eps)] = PerfElem(K.ctx, 0, c)
         return out
 
-    return K.memo(("defining_equations", B), solve_all)
+    return K.memo("defining_equations", solve_all)
 
 
 def is_modular(K: Subfield, method: str = "both"):
@@ -189,7 +166,7 @@ def is_modular(K: Subfield, method: str = "both"):
 
 def _modular_by_criterion(K: Subfield):
     B = canonical_rbase(K)
-    eqs = defining_equations(K, B)
+    eqs = defining_equations(K)
     for (j, eps), c in sorted(eqs.items()):
         if c.body.is_const():
             continue
@@ -253,21 +230,12 @@ def is_equiexponential(K: Subfield):
 def rp_chain(K: Subfield):
     """The descending chain k(K^p) ⊇ k(K^(p^2)) ⊇ ... down to rp(K/k).
 
-    The chain is returned from k(K^p) through the first repeated term
-    (the stabilization witness); for finite-exponent K the final term is
-    always k.  For K = k the chain is just [k].
+    By Pickert's theorem [k(K^(p^j)) : k] = p^(sum of max(o_i - j, 0)),
+    so the chain falls strictly to k at j = o_1(K/k), K's level, and is
+    returned through its first repeated term k, at j = o_1(K/k) + 1.
+    For K = k it is just [k].
     """
-    chain = []
-    prev = K
-    j = 1
-    while True:
-        current = K.frobenius_image(j)
-        chain.append(current)
-        if current.degree_log == prev.degree_log:
-            break
-        prev = current
-        j += 1
-    return chain
+    return [K.frobenius_image(j) for j in range(1, K.level + 2)]
 
 
 # ----------------------------------------------------------------------

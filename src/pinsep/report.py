@@ -67,8 +67,10 @@ def oracle_checks(K: Subfield) -> dict:
     is checked against an independent route: k(K^(p^j)) is the k-span
     of the b^(p^j) over a k-basis b of K, so its degree is their rank.
     The greedy exponents are then re-derived from the degrees of the
-    images, and rbase_extract checks the size of an r-base taken from
-    K's generators against di(K/k).  The disjointness
+    images; by Pickert's theorem those degrees follow from the greedy
+    exponents themselves, so this comparison is independent only
+    through the rank check above.  rbase_extract checks the size of an
+    r-base taken from K's generators against di(K/k).  The disjointness
     test computes k_n only where its Frobenius bounds leave [K : k_n]
     open; here every k_n with 1 <= n < o_1(K/k) is computed and checked
     against them.
@@ -116,7 +118,7 @@ def rbase_report(K: Subfield, name=None) -> dict:
     base = inv.canonical_rbase(K)
     rep["rbase"] = [g.render() for g in base.elements]
     rep["exponents"] = list(base.exponents)
-    eqs = inv.defining_equations(K, base)
+    eqs = inv.defining_equations(K)
     rep["defining_equations"] = [
         {"j": j, "eps": list(eps), "coefficient": c.render()}
         for (j, eps), c in sorted(eqs.items())

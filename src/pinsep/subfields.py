@@ -19,9 +19,9 @@ build starts from K's reduced rows and inserts only the products with
 e, e^2, ..., each as it is made, so it holds its basis and at most one
 layer of products.  A chain's fields hold only their parents.  Each
 field memoizes its Frobenius images k(K^(p^j)), its compositum and
-intersection with each field L and its greedy r-base.  A span adjoins
-in greedy order (largest relative exponent first), and is the last
-field of that one chain, which keeps the greedy r-base.
+intersection with each field L and its greedy r-base, an RBase.  A span
+adjoins in greedy order (largest relative exponent first), and is the
+last field of that one chain, which keeps the greedy r-base.
 
 Frobenius images follow Pickert's theorem (G. Pickert, "Inseparable
 Körpererweiterungen", Math. Z. 52, 1950): if (g_1, o_1), ..., (g_r, o_r)
@@ -38,6 +38,7 @@ a^(p^level(a)) lies in k.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import add
 
 from .linalg import Echelon, Vec, intersect_spans
@@ -47,6 +48,18 @@ from .polynomials import MultiPoly, RatFunc
 
 class InternalInconsistency(AssertionError):
     """A structural invariant failed; indicates a bug, not bad input."""
+
+
+@dataclass(frozen=True)
+class RBase:
+    """An r-base of K/k.  The greedy r-base a field keeps carries its
+    exponents, the invariants o_1(K/k) >= o_2(K/k) >= ... of K/k."""
+
+    elements: tuple
+    exponents: tuple = None
+
+    def __len__(self):
+        return len(self.elements)
 
 
 # ----------------------------------------------------------------------
@@ -197,33 +210,38 @@ class Subfield:
 
         Each round adjoins to the current field F a generator g of maximal
         o(g/F), the first by index.  o(g/F) only falls as F grows, so one
-        with o(g/F) = 0 is dropped for good.  The rounds' pairs (g, o) are
-        the result's greedy_rbase(); its gens are the tuple given.  It is
-        the chain's last field, which nothing else holds yet.
+        with o(g/F) = 0 is dropped for good.  The rounds' generators and
+        exponents are the result's greedy_rbase(), whose exponents are
+        checked here to be non-increasing; its gens are the tuple given.
+        It is the chain's last field, which nothing else holds yet.
         """
-        field, pairs = cls.base(ctx), []
+        field, elements, exponents = cls.base(ctx), [], []
         gens = remaining = tuple(gens)
         while remaining:
             scored = [(field.rel_exponent(g), g) for g in remaining]
             o, g = max(scored, key=lambda s: s[0])
             if not o:
                 break
-            pairs.append((g, o))
+            elements.append(g)
+            exponents.append(o)
             field = field._adjoin_by(g, o)
             remaining = [h for r, h in scored if r and h is not g]
+        if any(a < b for a, b in zip(exponents, exponents[1:])):
+            raise InternalInconsistency("canonical exponent list increased")
         field.gens = gens
-        field.memo("greedy_rbase", lambda: tuple(pairs))
+        field.memo("greedy_rbase",
+                   lambda: RBase(tuple(elements), tuple(exponents)))
         return field
 
     def adjoin(self, e: PerfElem) -> "Subfield":
         """K(e) by the tower law [K(e) : K] = p^r with r = o(e/K)."""
         return self._adjoin_by(e, self.rel_exponent(e))
 
-    def greedy_rbase(self) -> tuple:
-        """Pairs (g, o(g/F)) of the greedy r-base of K/k, in round order.
-        A span and a Frobenius image carry theirs; any other field (a
-        truncation, an intersection, K.adjoin(e)) spans its generators
-        once and keeps that span's."""
+    def greedy_rbase(self) -> RBase:
+        """The one r-base kept on K: the greedy rounds' generators and
+        exponents.  A span and a Frobenius image carry theirs; any other
+        field (a truncation, an intersection, K.adjoin(e)) spans its
+        generators once and keeps that span's."""
 
         def respan():
             field = Subfield.span(self.ctx, self.gens)
@@ -380,8 +398,9 @@ class Subfield:
     def frobenius_image(self, j: int) -> "Subfield":
         """k(K^(p^j)), read off the greedy r-base of K/k by Pickert's
         theorem (module docstring): the chain adjoining g^(p^j) with
-        exponent o - j for each pair (g, o) with o > j.  Those g^(p^j) are
-        its generators and those pairs its greedy r-base; its degree,
+        exponent o - j for each pair (g, o) with o > j, a prefix of K's
+        non-increasing exponents.  Those g^(p^j) are its generators, and
+        with the o - j its greedy r-base; its degree,
         p^(sum of max(o - j, 0)), comes from the tower law, and no basis
         is built until one is needed, when the insert check of each
         adjunction runs.  The span of the p^j-th powers of all generators
@@ -397,12 +416,14 @@ class Subfield:
             return self
 
         def build():
-            pairs = tuple((g.frob(j), o - j)
-                          for g, o in self.greedy_rbase() if o > j)
+            rbase = self.greedy_rbase()
+            r = sum(o > j for o in rbase.exponents)
+            image = RBase(tuple(g.frob(j) for g in rbase.elements[:r]),
+                          tuple(o - j for o in rbase.exponents[:r]))
             field = Subfield.base(self.ctx)
-            for g, o in pairs:
+            for g, o in zip(image.elements, image.exponents):
                 field = field._adjoin_by(g, o)
-            field.memo("greedy_rbase", lambda: pairs)
+            field.memo("greedy_rbase", lambda: image)
             return field
 
         return self.memo(("frobenius_image", j), build)

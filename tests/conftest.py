@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pinsep.linalg import Echelon, Vec
 from pinsep.perfect import Context
 from pinsep.polynomials import MultiPoly, RatFunc, mp_exact_div, mp_gcd
-from pinsep.subfields import Subfield
+from pinsep.subfields import RBase, Subfield
 
 VAR_NAMES = ("X", "Y", "Z")
 
@@ -120,22 +120,24 @@ def perfect_lift(K, n):
 
 
 def greedy_rbase_over(K, L):
-    """Pairs (g, o(g/F)) of a greedy r-base of L(K)/L, walked through the
+    """The RBase of generators g and exponents o(g/F) of a greedy r-base
+    of L(K)/L, walked through the
     public rel_exponent, adjoin and compositum: from F = L, every
     generator of K is tested every round, one of maximal o(g/F) (the
     first by index) is adjoined, and the rounds stop at the degree of
     the compositum L(K).  With L = k this is the reference for the
     greedy r-base a span keeps."""
     target = L.compositum(K).degree_log
-    current, pairs = L, []
+    current, elements, exponents = L, [], []
     while current.degree_log < target:
         exps = [current.rel_exponent(g) for g in K.gens]
         best = max(range(len(exps)), key=exps.__getitem__)
         assert exps[best] > 0, "greedy walk stalled below L(K)"
-        pairs.append((K.gens[best], exps[best]))
+        elements.append(K.gens[best])
+        exponents.append(exps[best])
         current = current.adjoin(K.gens[best])
     assert current.degree_log == target
-    return tuple(pairs)
+    return RBase(tuple(elements), tuple(exponents))
 
 
 def frobenius_image_by_span(K, j):
@@ -147,7 +149,7 @@ def frobenius_image_by_span(K, j):
 
 def greedy_exponents_over(K, L):
     """The exponent list of greedy_rbase_over(K, L)."""
-    return tuple(o for _, o in greedy_rbase_over(K, L))
+    return greedy_rbase_over(K, L).exponents
 
 
 def vector(entries, p=3, nvars=1) -> Vec:

@@ -51,7 +51,7 @@ def test_criterion_2_defining_equations_exact():
     t0 = time.time()
     ctx, K = section5()
     base = inv.canonical_rbase(K)
-    eqs = inv.defining_equations(K, base)
+    eqs = inv.defining_equations(K)
     assert eqs[(2, (0,))].render() == "Z"
     assert eqs[(2, (1,))].render() == "Y"
     a1, a2 = base.elements

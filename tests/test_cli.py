@@ -86,6 +86,22 @@ def test_config_family_with_explicit_schedule():
         fam.stage(3)                      # no stage 3 in the schedule
 
 
+def test_schedule_family_tops_out_at_its_last_listed_stage(tmp_path):
+    """A schedule family without max_stage ends at its largest listed
+    stage, for `invariants NAME` and `family NAME invariants` alike."""
+    path = tmp_path / "ctx.yaml"
+    path.write_text("p: 2\nvariables: [X]\nfamilies:\n"
+                    "  sch: {schedule: {0: [], 1: [\"rt(X,1)\"]}}\n")
+    assert load_config(path.read_text()).families["sch"].max_stage == 1
+    rc, out, err = run_cli("--context", str(path), "invariants", "sch")
+    assert rc == 0, err
+    assert "degree: p^1 = 2" in out
+    rc, out, err = run_cli("--context", str(path), "family", "sch",
+                           "invariants")
+    assert rc == 0, err
+    assert out.startswith("field sch:1 ")
+
+
 def test_config_errors():
     with pytest.raises(Exception):
         load_config("p: 2\n")           # missing variables
@@ -660,12 +676,56 @@ def test_exit_codes(config_path, tmp_path):
     (["family", "exe1", "invariants", "--params", "n=x"], "parameter 'n'"),
     (["invariants", "exe1:"], "the stage of field 'exe1:'"),
     (["invariants", "exe1:abc"], "the stage of field 'exe1:abc'"),
+    (["family", "exe1", "invariants", "--n", "2", "--params", "n=3"],
+     "--n 2 and --params n=3"),
 ], ids=["unknown_n", "unknown_param", "zero_horizon", "param_not_integer",
-        "empty_stage", "stage_not_integer"])
+        "empty_stage", "stage_not_integer", "two_different_n"])
 def test_bad_family_parameters_are_parse_errors(argv, needle):
     rc, out, err = run_cli(*argv)
     assert (rc, out) == (2, "")
     assert err.startswith("error[parse]:") and needle in err
+
+
+def test_equal_n_and_params_n_are_accepted():
+    """--n and --params n= may both be given when they agree."""
+    alone = run_cli("family", "exe1", "invariants", "--n", "2")
+    both = run_cli("family", "exe1", "invariants", "--n", "2",
+                   "--params", "n=2")
+    assert alone == both and alone[0] == 0
+    assert "field exe1:2 " in alone[1]
+
+
+@pytest.mark.parametrize("doc,argv,needle", [
+    ("p: [2\n", [], "invalid YAML"),
+    ("- p\n- 2\n", [], "configuration must be a mapping"),
+    ("p: 2\nvariables: [X, rt]\n", [], "variable name 'rt'"),
+    ("p: 2\nvariables: [X]\nfields:\n  X: [X]\n", [],
+     "duplicate or reserved name 'X'"),
+    ("p: 2\nvariables: [X]\nfields:\n  K: X\n", [], "field 'K'"),
+    ("p: 2\nvariables: [X]\nfamilies:\n  exe1: {template: [X]}\n", [],
+     "built-in family name 'exe1'"),
+    ("p: 2\nvariables: [X]\nfamilies:\n  F: 3\n", [],
+     "family 'F' must be a mapping"),
+    ("p: 2\nvariables: [X]\nfamilies:\n  F: {max_stage: 2}\n", [],
+     "family 'F' needs a schedule or a template"),
+    ("p: 2\nvariables: [X]\nfamilies:\n  F: {schedule: {0: [], one: []}}\n",
+     [], "'schedule' stage must be an integer, got 'one'"),
+    (None, ["utable", "exe1", "--horizon", "2", "--smax", "1",
+            "--params", "n=2,m"], "bad parameter 'm'"),
+], ids=["invalid_yaml", "not_a_mapping", "reserved_variable",
+        "duplicate_field", "field_not_list", "builtin_family_name",
+        "family_not_mapping", "family_without_stages", "schedule_stage_name",
+        "param_without_eq"])
+def test_context_and_parameter_refusals(tmp_path, doc, argv, needle):
+    """Each refusal of load_config and parse_params is a parse error that
+    names what it refused, and prints nothing on stdout."""
+    if doc is not None:
+        path = tmp_path / "ctx.yaml"
+        path.write_text(doc)
+        argv = ["--context", str(path), "parity", "3"]
+    rc, out, err = run_cli(*argv)
+    assert (rc, out) == (2, ""), err
+    assert err.startswith("error[parse]:") and needle in err, err
 
 
 def test_exe3_reference_is_explicit_error():

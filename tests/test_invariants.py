@@ -10,7 +10,7 @@ from pinsep import invariants as inv, report
 from pinsep.exprs import parse_element
 from pinsep.linalg import Echelon
 from pinsep.perfect import Context
-from pinsep.subfields import InternalInconsistency, Subfield
+from pinsep.subfields import InternalInconsistency, RBase, Subfield
 from pinsep.towers import family
 
 from conftest import (fields_equal, greedy_exponents_over, greedy_rbase_over,
@@ -195,7 +195,7 @@ def test_canonical_rbase_scans_each_generator_once_per_round(ctx,
 
 def test_canonical_rbase_is_memoized(ctx, monkeypatch):
     """A second canonical_rbase(K) makes no rel_exponent call and returns
-    the same RBase object, so the exponent check runs once per field."""
+    the same RBase object."""
     K = Subfield.span(ctx, three_gens(ctx))
     first = inv.canonical_rbase(K)
     calls = []
@@ -204,6 +204,34 @@ def test_canonical_rbase_is_memoized(ctx, monkeypatch):
                         lambda self, a: calls.append(a) or real(self, a))
     assert inv.canonical_rbase(K) is first
     assert calls == []
+
+
+def test_one_rbase_object_per_field(small_corpus):
+    """Every field keeps one RBase: canonical_rbase(K) is
+    K.greedy_rbase() on spans, truncations and Frobenius images alike,
+    and after the full reports no field's memo holds a second copy under
+    a key of its own."""
+    for K in small_corpus[:10]:
+        report.invariant_report(K, oracle=True)
+        report.rbase_report(K)
+        fields = [K, K.truncation(1)] + inv.rp_chain(K)
+        for F in fields:
+            assert inv.canonical_rbase(F) is F.greedy_rbase()
+            assert isinstance(F.greedy_rbase(), RBase)
+            assert "canonical_rbase" not in F._cache
+
+
+def test_span_refuses_a_rising_exponent_list(ctx, monkeypatch):
+    """The span checks its greedy exponents once, as it records them: a
+    rel_exponent that scores the second round above the first makes the
+    list (1, 2), which no greedy walk can produce."""
+    gens = roots(ctx, [("X", 1), ("Y", 2)])
+    scores = iter([1, 1, 2])
+    monkeypatch.setattr(Subfield, "rel_exponent",
+                        lambda self, a: next(scores))
+    with pytest.raises(InternalInconsistency,
+                       match="canonical exponent list increased"):
+        Subfield.span(ctx, gens)
 
 
 def test_bases_are_built_on_first_use(ctx, monkeypatch):
@@ -318,10 +346,11 @@ def test_oracle_builds_the_frobenius_images(ctx, monkeypatch):
     2^2.  The oracle builds that image's basis before it compares any
     degree, so the insert check reports it."""
     K = Subfield.span(ctx, three_gens(ctx))
-    (x, ox), (y, oy) = K.greedy_rbase()
+    rbase = K.greedy_rbase()
+    ox, oy = rbase.exponents
     with monkeypatch.context() as mp:
         mp.setattr(Subfield, "greedy_rbase",
-                   lambda self: ((x, ox), (y, oy + 1)))
+                   lambda self: RBase(rbase.elements, (ox, oy + 1)))
         assert K.frobenius_image(1).degree_log == 2
     with pytest.raises(InternalInconsistency, match="fell in the span"):
         report.oracle_checks(K)
@@ -334,10 +363,11 @@ def test_oracle_checks_image_degrees_by_rank(ctx, monkeypatch):
     image's degree with the rank of the squares of K's basis, 2 here,
     and reports it."""
     K = Subfield.span(ctx, three_gens(ctx))
-    (x, ox), rest = K.greedy_rbase()
+    rbase = K.greedy_rbase()
+    ox, *rest = rbase.exponents
     with monkeypatch.context() as mp:
         mp.setattr(Subfield, "greedy_rbase",
-                   lambda self: ((x, ox - 1), rest))
+                   lambda self: RBase(rbase.elements, (ox - 1, *rest)))
         assert K.frobenius_image(1).degree_log == 0
     with pytest.raises(InternalInconsistency,
                        match="p\\^1-th powers of K's basis span 2"):
@@ -471,7 +501,7 @@ def test_modular_truncations_have_stable_di(small_corpus):
 def test_defining_equations_section5(ctx):
     K = section5(ctx)
     B = inv.canonical_rbase(K)
-    eqs = inv.defining_equations(K, B)
+    eqs = inv.defining_equations(K)
     assert eqs[(2, (0,))].render() == "Z"
     assert eqs[(2, (1,))].render() == "Y"
     # reconstruct: alpha_2^p = Y alpha_1^p + Z exactly
@@ -482,14 +512,13 @@ def test_defining_equations_section5(ctx):
 
 def test_defining_equations_single_generator_empty(ctx):
     K = Subfield.span(ctx, roots(ctx, [("X", 2)]))
-    assert inv.defining_equations(K, inv.canonical_rbase(K)) == {}
+    assert inv.defining_equations(K) == {}
 
 
 def test_defining_equations_tensor(ctx):
     # k(X^(1/4), Y^(1/2)): alpha_2^p = Y, so C_(0) = Y and C_(1) = 0
     K = Subfield.span(ctx, roots(ctx, [("X", 2), ("Y", 1)]))
-    B = inv.canonical_rbase(K)
-    eqs = inv.defining_equations(K, B)
+    eqs = inv.defining_equations(K)
     assert eqs[(2, (0,))].render() == "Y"
     assert eqs[(2, (1,))].is_zero()
 
@@ -510,8 +539,8 @@ def test_defining_equations_solved_once_per_field(ctx, monkeypatch):
     assert len(calls) == 1
     rep = report.rbase_report(K)
     assert len(calls) == 1
-    eqs = inv.defining_equations(K, inv.canonical_rbase(K))
-    assert eqs is inv.defining_equations(K, inv.canonical_rbase(K))
+    eqs = inv.defining_equations(K)
+    assert eqs is inv.defining_equations(K)
     assert [eq["coefficient"] for eq in rep["defining_equations"]] == [
         c.render() for _, c in sorted(eqs.items())]
 
@@ -520,7 +549,7 @@ def test_defining_equations_reconstruct(small_corpus):
     """alpha_j^(p^m_j) equals the asserted combination, for random fields."""
     for K in small_corpus[:10]:
         B = inv.canonical_rbase(K)
-        eqs = inv.defining_equations(K, B)
+        eqs = inv.defining_equations(K)
         p = K.ctx.p
         for c in eqs.values():
             # each coefficient prints in the element grammar and reads back
@@ -762,6 +791,18 @@ def test_rp_chain_examples(ctx):
     assert [L.degree_log for L in inv.rp_chain(K5)] == [1, 0, 0]
     k = Subfield.span(ctx, ())
     assert [L.degree_log for L in inv.rp_chain(k)] == [0]
+
+
+def test_rp_chain_is_the_images_up_to_o1_plus_one(small_corpus):
+    """rp_chain(K) is the list of the memoized images k(K^(p^j)) for
+    1 <= j <= o_1(K/k) + 1, and o_1(K/k) is K's level."""
+    for K in small_corpus[:10]:
+        exps = inv.canonical_rbase(K).exponents
+        assert K.level == (exps[0] if exps else 0)
+        chain = inv.rp_chain(K)
+        assert len(chain) == K.level + 1
+        for j, L in enumerate(chain, start=1):
+            assert L is K.frobenius_image(j)
 
 
 def test_rp_chain_strictly_decreasing_then_stationary(small_corpus):

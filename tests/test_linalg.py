@@ -119,7 +119,8 @@ def rbase_products(K):
     K's greedy r-base (g_i, o_i): a k-basis of K, entered with the
     denominators to_vector gives them, not in lowest terms."""
     elems = [K.ctx.one()]
-    for g, o in K.greedy_rbase():
+    rbase = K.greedy_rbase()
+    for g, o in zip(rbase.elements, rbase.exponents):
         powers = [K.ctx.one()]
         for _ in range(1, K.ctx.p ** o):
             powers.append(powers[-1] * g)

@@ -13,7 +13,7 @@ from pinsep import invariants, linalg, report, subfields
 from pinsep.linalg import Echelon, InconsistentSystem, Vec, nullspace, solve
 from pinsep.perfect import Context
 from pinsep.polynomials import MultiPoly, RatFunc
-from pinsep.subfields import (InternalInconsistency, Subfield, _log_p,
+from pinsep.subfields import (InternalInconsistency, RBase, Subfield, _log_p,
                               from_vector, to_vector, vec_mul)
 from pinsep.towers import family
 
@@ -618,7 +618,7 @@ def test_span_makes_one_field_per_round(ctx, monkeypatch):
     # X^(1/2) lies in k(X^(1/4)), so it gets no round of its own
     gens = tuple(roots(ctx, [("Y", 1), ("X", 2), ("X", 1), ("Z", 1)]))
     K = Subfield.span(ctx, gens)
-    assert [o for _, o in K.greedy_rbase()] == [2, 1, 1]
+    assert K.greedy_rbase().exponents == (2, 1, 1)
     assert len(made) == 4 and made[-1] is K
     assert K.gens == gens and K.degree_log == 4
 
@@ -866,15 +866,18 @@ def check_frobenius_images_against_span(K):
     p^(sum of max(o - j, 0)), it equals the span of the p^j-th powers
     of all of K's generators, and the greedy walk over its generators
     finds those pairs again."""
-    pairs = K.greedy_rbase()
+    rbase = K.greedy_rbase()
+    pairs = list(zip(rbase.elements, rbase.exponents))
     for j in range(1, K.level + 2):
         image = K.frobenius_image(j)
-        chain = tuple((g.frob(j), o - j) for g, o in pairs if o > j)
-        assert image.greedy_rbase() == chain
-        assert image.gens == tuple(g for g, _ in chain)
+        chain = [(g.frob(j), o - j) for g, o in pairs if o > j]
+        expected = RBase(tuple(g for g, _ in chain),
+                         tuple(o for _, o in chain))
+        assert image.greedy_rbase() == expected
+        assert image.gens == expected.elements
         assert image.degree_log == sum(max(o - j, 0) for _, o in pairs)
         assert fields_equal(image, frobenius_image_by_span(K, j))
-        assert greedy_rbase_over(image, Subfield.base(K.ctx)) == chain
+        assert greedy_rbase_over(image, Subfield.base(K.ctx)) == expected
 
 
 def test_frobenius_images_match_span_route(small_corpus):
