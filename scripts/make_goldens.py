@@ -19,6 +19,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from pinsep.cli import main  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
+RATIONAL = str(GOLDEN / "rational.yaml")
 
 REPORTS = {
     "invariants_nonmodular_basic.json":
@@ -34,6 +35,14 @@ REPORTS = {
     "utable_modular_diag_h3.json":
         ["--json", "utable", "modular_diag", "--horizon", "3", "--smax", "2"],
     "parity_5.json": ["--json", "parity", "5"],
+    # rational.yaml spans generators with multi-term denominators
+    "invariants_rational_K.json":
+        ["--json", "--context", RATIONAL, "invariants", "K"],
+    "rbase_rational_K.json": ["--json", "--context", RATIONAL, "rbase", "K"],
+    "truncate_rational_K_n1.json":
+        ["--json", "--context", RATIONAL, "truncate", "K", "--n", "1"],
+    "intersect_rational_K_L.json":
+        ["--json", "--context", RATIONAL, "intersect", "K", "L"],
 }
 
 

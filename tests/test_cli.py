@@ -686,6 +686,11 @@ def test_bad_family_parameters_are_parse_errors(argv, needle):
     assert err.startswith("error[parse]:") and needle in err
 
 
+def test_negative_truncation_level_is_a_parse_error():
+    assert run_cli("truncate", "exe1:3", "--n", "-1") == (
+        2, "", "error[parse]: truncation level must be nonnegative\n")
+
+
 def test_equal_n_and_params_n_are_accepted():
     """--n and --params n= may both be given when they agree."""
     alone = run_cli("family", "exe1", "invariants", "--n", "2")

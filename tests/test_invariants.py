@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from pinsep import invariants as inv, report
+from pinsep import invariants as inv, report, subfields
 from pinsep.exprs import parse_element
 from pinsep.linalg import Echelon
 from pinsep.perfect import Context
@@ -14,7 +14,8 @@ from pinsep.subfields import InternalInconsistency, RBase, Subfield
 from pinsep.towers import family
 
 from conftest import (fields_equal, greedy_exponents_over, greedy_rbase_over,
-                      perfect_lift, random_field, random_fields)
+                      perfect_lift, random_element, random_field,
+                      random_fields)
 
 
 @pytest.fixture
@@ -234,6 +235,104 @@ def test_span_refuses_a_rising_exponent_list(ctx, monkeypatch):
         Subfield.span(ctx, gens)
 
 
+def _drop_first_seed_row(ctx, mp):
+    """K(e)'s build seeds its echelon without one of K's rows, so the
+    first basis built, k(X^(1/4))'s, ends one row short of its
+    tower-law degree."""
+    real = Echelon.from_reduced
+    mp.setattr(Echelon, "from_reduced", classmethod(
+        lambda cls, rows: real(dict(list(rows.items())[1:]))))
+    return lambda: section5(ctx).basis_vectors()
+
+
+def _respan_to_a_smaller_field(ctx, mp):
+    F = Subfield.base(ctx)
+    for g in roots(ctx, [("X", 1), ("Y", 1)]):
+        F = F.adjoin(g)
+    real = Subfield.span
+    mp.setattr(Subfield, "span", classmethod(
+        lambda cls, ctx, gens: real(ctx, gens[:1])))
+    return F.greedy_rbase
+
+
+def _intersection_of_three_rows(ctx, mp):
+    K = Subfield.span(ctx, roots(ctx, [("X", 2)]))
+    mp.setattr(subfields, "intersect_spans",
+               lambda a, b: K.basis_vectors()[:3])
+    return lambda: K.intersect(K)
+
+
+def _intersection_of_nothing(ctx, mp):
+    K = section5(ctx)
+    mp.setattr(subfields, "intersect_spans", lambda a, b: [])
+    return lambda: K.intersect(K)
+
+
+def _truncation_of_everything(ctx, mp):
+    K = section5(ctx)
+    mp.setattr(Subfield, "_from_vectors",
+               classmethod(lambda cls, ctx, level, vecs: K))
+    return lambda: K.truncation(1)
+
+
+def _solve_not_unique(ctx, mp):
+    def solve(*args):
+        raise ArithmeticError("solution is not unique")
+    mp.setattr(inv, "solve", solve)
+    return lambda: inv.defining_equations(section5(ctx))
+
+
+def _disjointness_says_otherwise(ctx, mp):
+    real = inv._modular_by_disjointness
+    mp.setattr(inv, "_modular_by_disjointness",
+               lambda K: (not real(K)[0], None))
+    return lambda: inv.is_modular(section5(ctx))
+
+
+def _constant_exponents_claimed(ctx, mp):
+    mp.setattr(inv, "canonical_rbase",
+               lambda K: RBase(K.gens, (2, 2)))
+    return lambda: inv.is_equiexponential(section5(ctx))
+
+
+def _exponents_growing_with_the_level(ctx, mp):
+    mp.setattr(inv, "canonical_rbase", lambda K: RBase((), (3 * K.level,)))
+    return lambda: inv.u_table(family("modular_diag"), 2, 1)
+
+
+def _exponents_by_di_off(ctx, mp):
+    mp.setattr(inv, "exponents_by_di", lambda K, s: 7)
+    return lambda: report.oracle_checks(section5(ctx))
+
+
+def _truncation_is_the_field(ctx, mp):
+    mp.setattr(Subfield, "truncation", lambda self, n: self)
+    return lambda: report.oracle_checks(section5(ctx))
+
+
+@pytest.mark.parametrize("fire,needle", [
+    (_intersection_of_three_rows, "dimension 3 is not a power of 2"),
+    (_drop_first_seed_row, "built a basis of 3 rows for a field of degree 2"),
+    (_respan_to_a_smaller_field, "span of its generators differ"),
+    (_intersection_of_nothing, "lost the unit"),
+    (_truncation_of_everything, "left elements above the cut"),
+    (_solve_not_unique, "defining equation 2 has no unique solution"),
+    (_disjointness_says_otherwise, "modularity methods disagree"),
+    (_constant_exponents_claimed, "equiexponential degree test disagrees"),
+    (_exponents_growing_with_the_level, "U-table row 1 decreased"),
+    (_exponents_by_di_off, "exponent computations disagree"),
+    (_truncation_is_the_field, "outside its Frobenius bounds"),
+], ids=["intersection_dimension", "basis_size", "respan_degree",
+        "intersection_unit", "truncation_cut", "defining_equations",
+        "modularity_methods", "equiexponential", "utable_row",
+        "oracle_exponents", "oracle_truncation_bounds"])
+def test_internal_checks_fire(ctx, monkeypatch, fire, needle):
+    """Each structural check raises InternalInconsistency when one of
+    its collaborators is patched to break the invariant it guards."""
+    with pytest.raises(InternalInconsistency, match=needle):
+        fire(ctx, monkeypatch)()
+
+
 def test_bases_are_built_on_first_use(ctx, monkeypatch):
     """Echelon inserts behind span, canonical_rbase and di.  A field's
     basis is built when a generator of level >= 1 and at most its level
@@ -390,6 +489,8 @@ def test_exponents_by_di_agrees(ctx, small_corpus):
     assert inv.exponents_by_di(K5, 1) == 2
     assert inv.exponents_by_di(K5, 2) == 1
     assert inv.exponents_by_di(K5, 3) == 0    # s > di
+    with pytest.raises(ValueError, match="s must be >= 1"):
+        inv.exponents_by_di(K5, 0)
     K = Subfield.span(ctx, roots(ctx, [("X", 2)]))
     assert inv.exponents_by_di(K, 1) == 2
     for K in small_corpus[:10]:
@@ -545,27 +646,69 @@ def test_defining_equations_solved_once_per_field(ctx, monkeypatch):
         c.render() for _, c in sorted(eqs.items())]
 
 
+def check_defining_equations_reconstruct(K):
+    """alpha_j^(p^m_j) equals the asserted combination exactly, and each
+    coefficient prints in the element grammar and reads back."""
+    B = inv.canonical_rbase(K)
+    eqs = inv.defining_equations(K)
+    for c in eqs.values():
+        assert parse_element(K.ctx, c.render()) == c
+    for j in range(2, len(B) + 1):
+        m_j = B.exponents[j - 1]
+        lhs = B.elements[j - 1].frob(m_j)
+        rhs = K.ctx.zero()
+        for (jj, eps), c in eqs.items():
+            if jj != j:
+                continue
+            w = K.ctx.one()
+            for t, e_t in enumerate(eps):
+                w = w * B.elements[t].frob(m_j) ** e_t
+            rhs = rhs + c * w
+        assert lhs == rhs
+
+
 def test_defining_equations_reconstruct(small_corpus):
     """alpha_j^(p^m_j) equals the asserted combination, for random fields."""
     for K in small_corpus[:10]:
-        B = inv.canonical_rbase(K)
-        eqs = inv.defining_equations(K)
-        p = K.ctx.p
-        for c in eqs.values():
-            # each coefficient prints in the element grammar and reads back
-            assert parse_element(K.ctx, c.render()) == c
-        for j in range(2, len(B) + 1):
-            m_j = B.exponents[j - 1]
-            lhs = B.elements[j - 1].frob(m_j)
-            rhs = K.ctx.zero()
-            for (jj, eps), c in eqs.items():
-                if jj != j:
-                    continue
-                w = K.ctx.one()
-                for t, e_t in enumerate(eps):
-                    w = w * B.elements[t].frob(m_j) ** e_t
-                rhs = rhs + c * w
-            assert lhs == rhs
+        check_defining_equations_reconstruct(K)
+
+
+def rational_fields(seed, count):
+    """`count` fields over p = 2 and 3 spanned by two or three quotients
+    a/b of random elements, so r-base elements and the monomials w carry
+    multi-term denominators.  Levels stay <= 2 for p = 2 and <= 1 for
+    p = 3; a draw whose r-base has fewer than two elements, and so no
+    defining equation, is skipped."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = (2, 3)[len(out) % 2]
+        ctx = Context(p, ("X", "Y", "Z")[:rng.randint(2, 3)])
+        top = 2 if p == 2 else 1
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            a = random_element(ctx, rng, top, max_terms=2)
+            b = random_element(ctx, rng, top, max_terms=2)
+            gens.append(a if b.is_zero() else a / b)
+        K = Subfield.span(ctx, gens)
+        if len(K.greedy_rbase()) >= 2:
+            out.append(K)
+    return out
+
+
+def test_defining_equations_reconstruct_over_rational_rbases():
+    """Over fields spanned by quotients the coefficients C are rational
+    functions; each still reconstructs alpha_j^(p^m_j) = sum C * w
+    exactly and parses back.  Most of these fields have a coefficient
+    with a nonconstant denominator, so the solve's denominators are
+    exercised."""
+    fields = rational_fields(2201, 40)
+    rational = 0
+    for K in fields:
+        check_defining_equations_reconstruct(K)
+        rational += any(not c.body.den.is_one()
+                        for c in inv.defining_equations(K).values())
+    assert rational >= len(fields) // 2
 
 
 # ----------------------------------------------------------------------

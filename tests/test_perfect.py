@@ -28,6 +28,17 @@ def test_context_validation():
         Context(2, ("X", "X"))
 
 
+def test_element_validation(ctx):
+    """A PerfElem needs a level >= 0 and a body over the context's field
+    and variables."""
+    x = ctx.variable("X").body
+    with pytest.raises(ValueError, match="negative level"):
+        PerfElem(ctx, -1, x)
+    for p, nvars in ((3, 3), (2, 2)):
+        with pytest.raises(ValueError, match="does not match the context"):
+            PerfElem(ctx, 0, RatFunc.one(p, nvars))
+
+
 def test_frob_roundtrip_examples(ctx):
     X = ctx.variable("X")
     a = X.frob(-2)

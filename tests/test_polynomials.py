@@ -387,6 +387,8 @@ def test_rat_division_by_zero():
         RatFunc.one(2, 1).inverse().__truediv__(RatFunc.zero(2, 1))
     with pytest.raises(ZeroDivisionError):
         RatFunc.zero(2, 1).inverse()
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        RatFunc(MultiPoly.one(2, 1), MultiPoly.zero(2, 1))
 
 
 def test_rat_partial_derivative_quotient_rule():

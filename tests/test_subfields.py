@@ -257,6 +257,21 @@ def test_frobenius_image_rejects_negative(ctx):
         section5_field(ctx).frobenius_image(-1)
 
 
+def test_refusals_across_contexts_and_levels(ctx):
+    """An element or a field of another context is refused, and so is a
+    basis below K's level."""
+    K = section5_field(ctx)
+    other = Context(2, ("X", "Y", "W"))
+    with pytest.raises(ValueError, match="element from a different context"):
+        K.member(other.root_of_variable("X", 1))
+    L = Subfield.span(other, [other.root_of_variable("X", 1)])
+    for op in (K.intersect, K.compositum, K.linearly_disjoint):
+        with pytest.raises(ValueError, match="fields from different contexts"):
+            op(L)
+    with pytest.raises(ValueError, match="below the working level"):
+        K.basis_vectors(K.level - 1)
+
+
 # ----------------------------------------------------------------------
 # truncation
 # ----------------------------------------------------------------------
