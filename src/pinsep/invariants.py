@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .linalg import InconsistentSystem, solve
 from .perfect import PerfElem
+from .polynomials import RatFunc
 from .subfields import InternalInconsistency, RBase, Subfield, to_vector
 
 
@@ -98,9 +99,12 @@ def defining_equations(K: Subfield) -> dict:
     w_eps runs over the monomials (alpha_1, ..., alpha_{j-1})^(p^m_j * eps)
     with eps in the box {0 <= eps_t < p^(m_t - m_j)}; the coefficients are
     the unique elements of k expressing the relation, solved exactly, and
-    are returned as level-0 PerfElem.  They are solved once per field and
-    kept on K (the modularity criterion and the r-base report both ask),
-    so the returned dict is shared and must not be changed.
+    are returned as level-0 PerfElem.  to_vector gives the coordinates of
+    d_w*w_eps and d*alpha_j^(p^m_j), with d_w and d their denominators
+    read in x, so the solve finds C*d/d_w, and each C is that times
+    d_w/d.  They are solved once per field and kept on K (the modularity
+    criterion and the r-base report both ask), so the returned dict is
+    shared and must not be changed.
     """
 
     def solve_all():
@@ -128,7 +132,11 @@ def defining_equations(K: Subfield) -> dict:
                 raise InternalInconsistency(
                     f"defining equation {j} has no unique solution: "
                     f"{exc}") from exc
-            for eps, c in zip(box, coeffs):
+            d = rhs_elem.body_at_level(level).den
+            for eps, w, c in zip(box, monomials, coeffs):
+                d_w = w.body_at_level(level).den
+                if d_w != d:
+                    c = RatFunc(c.num * d_w, c.den * d)
                 out[(j, eps)] = PerfElem(K.ctx, 0, c)
         return out
 

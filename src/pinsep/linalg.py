@@ -1,20 +1,20 @@
 """Deterministic exact linear algebra over the rational function field.
 
-A vector (Vec) is a sparse dict of polynomial numerators over one monic
-denominator: it maps hashable, totally ordered column keys to nonzero
-MultiPoly numerators, and its value at a key is that numerator over the
-shared denominator.  Arithmetic on vectors runs over F_p[x]; a vector
-need not be in lowest terms.  Elimination against a row whose
-denominator is 1 runs no gcd.
+A vector is a sparse dict mapping hashable, totally ordered column keys
+to nonzero MultiPoly entries, and it stands for its line over k = F_p(x):
+a vector and its multiples by nonzero elements of k are the same line.
+Arithmetic on vectors runs over F_p[x], and no vector carries a
+denominator.
 
 The single engine is a reduced row echelon basis with one pivot rule:
 the pivot of a row is its smallest column in the key order, and every
 pivot column is eliminated from all other rows.  A stored row is
-canonical: its numerator at the pivot equals its denominator, and no
-factor is common to the denominator and all numerators.  Each vector
-value has exactly one canonical form, so the reduced basis of a subspace
-is canonical: it depends only on the spanned subspace, never on the
-order in which generating vectors were inserted.
+canonical: its entries share no common factor and its entry at the
+pivot is monic.  Its value is each entry divided by the pivot entry, so
+it is 1 at its pivot.  Each line has exactly one canonical row, so the
+reduced basis of a subspace is canonical: it depends only on the
+spanned subspace, never on the order in which generating vectors were
+inserted.  Elimination against a row whose pivot entry is 1 runs no gcd.
 
 A caller that must keep some columns from pivoting tags the keys: (0, k)
 for the columns that may pivot and (1, k) for the rest.  Tuples compare
@@ -33,33 +33,17 @@ class InconsistentSystem(ArithmeticError):
     """A linear solve hit an inconsistent equation (distinct from x = 0)."""
 
 
-class Vec:
-    """Sparse vector over F_p(x): numerators {key: nonzero MultiPoly} over
-    one monic denominator den.  Never mutated once made."""
+def _eliminate(out: dict, k, row: dict):
+    """Clear column k of the vector `out` with `row`, in place.
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: dict, den: MultiPoly):
-        self.num = num
-        self.den = den
-
-    def __repr__(self):
-        return f"Vec({self.num!r}, den={self.den!r})"
-
-
-def _eliminate(out: dict, k, row: Vec) -> MultiPoly:
-    """Clear column k of the numerators `out` with `row`, in place, and
-    return the factor f their denominator takes.
-
-    row is canonical with pivot k, so its numerator there is d = row.den.
-    With c = out[k] and h = gcd(c, d), the numerators become
-    out*(d/h) - (c/h)*row.num over a denominator f = d/h times larger;
-    column k cancels.  Dividing by h keeps a long reduction from
-    carrying every row denominator it meets.  When d = 1 no gcd runs and
-    nothing is scaled.
+    row is canonical with pivot k; let d = row[k].  With c = out[k] and
+    h = gcd(c, d), out becomes out*(d/h) - (c/h)*row, which is d/h times
+    the remainder, and column k cancels.  Dividing by h keeps a long
+    reduction from carrying every pivot entry it meets.  When d = 1 no
+    gcd runs and nothing is scaled.
     """
     c = out.pop(k)
-    f = row.den
+    f = row[k]
     if not f.is_one():
         h = mp_gcd(c, f)
         if not h.is_one():
@@ -68,7 +52,7 @@ def _eliminate(out: dict, k, row: Vec) -> MultiPoly:
             for col, val in out.items():
                 out[col] = val * f
     c = -c
-    for col, val in row.num.items():
+    for col, val in row.items():
         if col == k:
             continue
         s = out.get(col)
@@ -80,76 +64,70 @@ def _eliminate(out: dict, k, row: Vec) -> MultiPoly:
                 out[col] = s
             else:
                 del out[col]
-    return f
 
 
-def _canonical(v: Vec, piv, bound=None) -> Vec:
-    """The canonical row of v's value scaled to 1 at piv: every numerator
-    over num[piv], with their common factor divided out and the
-    denominator made monic.  The denominator of v drops out.  A caller
-    that knows a divisor of num[piv] which the common factor divides
+def _canonical(v: dict, piv, bound=None) -> dict:
+    """The canonical row of v's line with pivot piv: v with its entries'
+    common factor divided out and the entry at piv made monic.  A caller
+    that knows a divisor of v[piv] which the common factor divides
     passes it as `bound`, and the gcds start from it; a constant bound
     means there is no common factor.  v itself is returned when it is
     already that row."""
-    num = v.num
-    lead = num[piv]
+    lead = v[piv]
     if lead.is_one():
-        return v if v.den.is_one() else Vec(num, lead)
+        return v
+    out = v
     g = lead if bound is None else bound
     if not g.is_const():
-        for val in num.values():
+        for val in v.values():
             if val is not lead:
                 g = mp_gcd(g, val)
                 if g.is_one():
                     break
         if not g.is_one():
-            num = {k: mp_exact_div(val, g) for k, val in num.items()}
-            lead = num[piv]
+            out = {k: mp_exact_div(val, g) for k, val in v.items()}
+            lead = out[piv]
     _, lc = lead.leading()
     if lc != 1:
         inv = pow(lc, lead.p - 2, lead.p)
-        num = {k: val.scale(inv) for k, val in num.items()}
-        lead = num[piv]
-    if num is v.num and (lead is v.den or lead == v.den):
-        return v
-    return Vec(num, lead)
+        out = {k: val.scale(inv) for k, val in out.items()}
+    return out
 
 
-def _clear_pivot(row: Vec, pk, piv, r: Vec) -> Vec:
+def _clear_pivot(row: dict, pk, piv, r: dict) -> dict:
     """Canonical row pk after clearing column piv with the new row r.
 
-    With row = R/e, c = R[piv], r = N/d and h = gcd(c, d), the row becomes
-    (R*(d/h) - (c/h)*N) / (e*(d/h)).  A factor common to that denominator
-    and all numerators shares nothing with d/h (it would divide every
-    N_j, against r being canonical), so it divides e: when e = 1 the row
-    is canonical as it stands.
+    With e = row[pk], c = row[piv], d = r[piv] and h = gcd(c, d), the row
+    becomes row*(d/h) - (c/h)*r, whose entry at pk is e*(d/h), as r is 0
+    there.  A factor common to all its entries shares nothing with d/h
+    (it would divide every entry of r, against r being canonical), so it
+    divides e: when e = 1 the row is canonical as it stands.
     """
-    out = dict(row.num)
-    f = _eliminate(out, piv, r)
-    e = row.den
-    return _canonical(Vec(out, e if f.is_one() else e * f), pk, e)
+    out = dict(row)
+    _eliminate(out, piv, r)
+    return _canonical(out, pk, row[pk])
 
 
 class Echelon:
     """Mutable reduced row echelon basis of sparse vectors; the pivot of
     each row is its smallest column, and each row is canonical.
 
-    A Vec is never mutated once it is stored: clearing a new pivot from a
-    row replaces the row with a new Vec.  Two echelons may therefore
+    A row is never mutated once it is stored: clearing a new pivot from a
+    row replaces the row with a new dict.  Two echelons may therefore
     share rows, and `insert` stores a vector as given when it is already
     canonical and holds no pivot column.  A reduced basis seeds a larger
     echelon through `from_reduced`, without being inserted again.
     """
 
     def __init__(self):
-        self.rows = {}            # pivot_key -> canonical row Vec
+        self.rows = {}            # pivot_key -> canonical row
 
     @classmethod
     def from_reduced(cls, rows: dict) -> "Echelon":
         """The echelon whose rows are `rows` (pivot -> row), taken over as
         they are.  They must already be a reduced basis of canonical rows:
-        each 1 at its pivot, its smallest column, and 0 at every other
-        row's pivot."""
+        each pivoted on its smallest column and 0 at every other row's
+        pivot."""
         ech = cls()
         ech.rows = rows
         return ech
@@ -157,30 +135,28 @@ class Echelon:
     def __len__(self):
         return len(self.rows)
 
-    def reduce(self, v: Vec) -> Vec:
-        """Remainder of v after eliminating every pivot column present.
+    def reduce(self, v: dict) -> dict:
+        """A multiple of v's remainder after eliminating every pivot
+        column present; the remainder is a line, so the factor over k
+        does not matter.
 
         Every row is zero at the other rows' pivots, so clearing one pivot
         neither brings in another nor changes v's entry there: one pass
-        over the pivots present in v clears them all, on one copy of v's
-        numerators.  Only numerators are combined, and a row whose
-        denominator is 1 runs no gcd.  A v that holds no pivot is its own
-        remainder and is returned itself, not copied; the caller must not
-        change the result.
+        over the pivots present in v clears them all, on one copy of v.
+        A row whose pivot entry is 1 runs no gcd.  A v that holds no
+        pivot is its own remainder and is returned itself, not copied;
+        the caller must not change the result.
         """
         rows = self.rows
-        hits = [k for k in v.num if k in rows]
+        hits = [k for k in v if k in rows]
         if not hits:
             return v
-        out = dict(v.num)
-        den = v.den
+        out = dict(v)
         for k in hits:
-            f = _eliminate(out, k, rows[k])
-            if not f.is_one():
-                den = den * f
-        return Vec(out, den)
+            _eliminate(out, k, rows[k])
+        return out
 
-    def insert(self, v: Vec) -> bool:
+    def insert(self, v: dict) -> bool:
         """Reduce v and add it to the basis; True iff the span grew.
 
         The new row and every row it changes are made canonical once.
@@ -189,20 +165,20 @@ class Echelon:
         afterwards.  v itself is never mutated.
         """
         r = self.reduce(v)
-        if not r.num:
+        if not r:
             return False
-        piv = min(r.num)
+        piv = min(r)
         r = _canonical(r, piv)
         # keep the basis fully reduced: clear the new pivot everywhere
         rows = self.rows
         for pk, row in rows.items():
-            if piv in row.num:
+            if piv in row:
                 rows[pk] = _clear_pivot(row, pk, piv, r)
         rows[piv] = r
         return True
 
-    def member(self, v: Vec) -> bool:
-        return not self.reduce(v).num
+    def member(self, v: dict) -> bool:
+        return not self.reduce(v)
 
     def basis_rows(self):
         """The rows in increasing pivot order."""
@@ -211,59 +187,55 @@ class Echelon:
     def block1_rows(self):
         """The rows pivoted in block 1 of tagged keys, in pivot order, with
         the tags stripped."""
-        out = []
-        for piv in sorted(self.rows):
-            if piv[0] == 1:
-                row = self.rows[piv]
-                out.append(Vec({k[1]: c for k, c in row.num.items()}, row.den))
-        return out
+        return [{k[1]: c for k, c in self.rows[piv].items()}
+                for piv in sorted(self.rows) if piv[0] == 1]
 
 
 def nullspace(rows, n_unknowns, p, nvars):
     """Nullspace basis of the system sum_j row[j]*x_j = 0 for each row.
 
-    rows are vectors keyed by unknown indices 0..n-1; an equation keeps
-    its solutions when scaled, so only its numerators enter.  Returns the
-    kernel's reduced basis as canonical vectors: each is 1 at its
-    smallest unknown index and 0 at the others' smallest indices, and
-    they come in increasing order of that index.
+    rows are vectors keyed by unknown indices 0..n-1.  Returns the
+    kernel's reduced basis as canonical rows: each is pivoted on its
+    smallest unknown index and 0 at the others' pivots, and they come in
+    increasing order of that index.
     """
     # unknown j enters as its column (0, i) -> rows[i][j] tagged with
     # (1, j) -> 1; the rows pivoted among the tags are kernel combinations
     one = MultiPoly.one(p, nvars)
     cols = {}
     for i, row in enumerate(rows):
-        for j, c in row.num.items():
+        for j, c in row.items():
             cols.setdefault(j, {})[(0, i)] = c
     ech = Echelon()
     for j in range(n_unknowns):
         v = dict(cols.get(j, {}))
         v[(1, j)] = one
-        ech.insert(Vec(v, one))
+        ech.insert(v)
     return ech.block1_rows()
 
 
 def solve(columns, rhs, p, nvars):
-    """Solve sum_j x_j * columns[j] = rhs exactly.
+    """Solve sum_j x_j * columns[j] = rhs exactly, entry by entry, for
+    the polynomial entries the vectors hold.
 
     columns is a list of vectors, rhs a vector.  Returns the list
     [x_0, ..., x_{n-1}] of RatFunc when the solution exists and is
     unique; raises InconsistentSystem when no solution exists and
-    ArithmeticError when the solution is not unique.
+    ArithmeticError when the solution is not unique.  Scaling columns[j]
+    by a factor in k divides x_j by it and scaling rhs multiplies every
+    x_j by it; neither changes consistency or uniqueness.
     """
-    # With columns N_j/d_j and rhs N/d, the unknowns z_j = x_j*d/d_j solve
-    # sum_j z_j N_j = N: one polynomial equation per key, unknown j at
-    # (0, j) and the right side at (1, 0).
-    one = MultiPoly.one(p, nvars)
+    # one equation per key: unknown j at (0, j), the right side at (1, 0);
+    # the row pivoted at (0, j) states x_j * row[(0, j)] = row[(1, 0)]
     eqs = {}
     for j, col in enumerate(columns):
-        for key, c in col.num.items():
+        for key, c in col.items():
             eqs.setdefault(key, {})[(0, j)] = c
-    for key, c in rhs.num.items():
+    for key, c in rhs.items():
         eqs.setdefault(key, {})[(1, 0)] = c
     ech = Echelon()
     for key in sorted(eqs):
-        ech.insert(Vec(eqs[key], one))
+        ech.insert(eqs[key])
     if (1, 0) in ech.rows:
         raise InconsistentSystem("no solution")
     if len(ech) < len(columns):
@@ -271,9 +243,9 @@ def solve(columns, rhs, p, nvars):
     zero = RatFunc.zero(p, nvars)
     xs = [zero] * len(columns)
     for (_, j), row in ech.rows.items():
-        z = row.num.get((1, 0))
+        z = row.get((1, 0))
         if z is not None:
-            xs[j] = RatFunc(z * columns[j].den, row.den * rhs.den)
+            xs[j] = RatFunc(z, row[(0, j)])
     return xs
 
 
@@ -287,9 +259,9 @@ def intersect_spans(rows_a, rows_b):
     """
     ech = Echelon()
     for v in rows_a:
-        aug = {(0, k): c for k, c in v.num.items()}
-        aug.update({(1, k): c for k, c in v.num.items()})
-        ech.insert(Vec(aug, v.den))
+        aug = {(0, k): c for k, c in v.items()}
+        aug.update({(1, k): c for k, c in v.items()})
+        ech.insert(aug)
     for v in rows_b:
-        ech.insert(Vec({(0, k): c for k, c in v.num.items()}, v.den))
+        ech.insert({(0, k): c for k, c in v.items()})
     return ech.block1_rows()

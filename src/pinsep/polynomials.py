@@ -563,7 +563,7 @@ class RatFunc:
             return RatFunc(self.num + other.num, self.den)
         # these sums come from element arithmetic (parsing, family
         # generators) and the tests' FractionEchelon reference, not from
-        # elimination, which combines linalg.Vec numerators; their
+        # elimination, whose vectors hold polynomials; their
         # denominators often share factors.  Splitting the shared part off
         # first keeps the gcds small, and the residual common factor of
         # the sum can only divide the shared part; a sum of zero would need

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .linalg import Echelon, Vec, intersect_spans
+from .linalg import Echelon, intersect_spans
 from .perfect import Context, PerfElem
 from .polynomials import MultiPoly, RatFunc
 
@@ -67,23 +67,23 @@ class RBase:
 # ----------------------------------------------------------------------
 
 
-def to_vector(e: PerfElem, m: int) -> Vec:
-    """Coordinates of e over k in the t-monomial basis of A_m.
+def to_vector(e: PerfElem, m: int) -> dict:
+    """The coordinates of d*e over k in the t-monomial basis of A_m, where
+    d is e's denominator read in x; the vector stands for e's line.
 
     With q = p^m, e = num(t)/den(t) = num(t) den(t)^(q-1) / den(t)^q, and
     den(t)^q is den read in x: the same exponent tuples, so the same
-    MultiPoly.  den^(q-1) is the product of the m Frobenius-scaled copies
-    of den^(p-1).  A term c t^a of num den^(q-1) is c x^(a // q) t^(a % q),
-    so the terms grouped by a % q give one numerator in x per coordinate,
-    all over den, with no gcd.  Two terms with the same a % q differ in
-    a // q, so nothing cancels.
+    MultiPoly, and that is d.  den^(q-1) is the product of the m
+    Frobenius-scaled copies of den^(p-1).  A term c t^a of num den^(q-1)
+    is c x^(a // q) t^(a % q), so the terms grouped by a % q give one
+    polynomial in x per coordinate, with no gcd.  Two terms with the same
+    a % q differ in a // q, so nothing cancels.
     """
     ctx = e.ctx
     p = ctx.p
     q = p ** m
     body = e.body_at_level(m)
-    num, den = body.num, body.den
-    poly = num
+    poly, den = body.num, body.den
     if not den.is_one():
         block = den ** (p - 1)
         for j in range(m):
@@ -92,40 +92,39 @@ def to_vector(e: PerfElem, m: int) -> Vec:
     for ex, c in poly.terms.items():
         rem = tuple([x % q for x in ex])
         coords.setdefault(rem, {})[tuple([x // q for x in ex])] = c
-    return Vec({rem: MultiPoly(p, ctx.nvars, terms)
-                for rem, terms in coords.items()}, den)
+    return {rem: MultiPoly(p, ctx.nvars, terms)
+            for rem, terms in coords.items()}
 
 
-def from_vector(ctx: Context, vec: Vec, m: int) -> PerfElem:
-    """Inverse of to_vector: rebuild the element from level-m coordinates.
+def from_vector(ctx: Context, vec: dict, m: int) -> PerfElem:
+    """The element whose level-m coordinates are vec's value: each entry
+    over the entry at vec's smallest key, so a canonical row gives the
+    element 1 at its pivot.
 
-    Reading x as t^q puts each numerator's terms at exponents that are
+    Reading x as t^q puts each entry's terms at exponents that are
     multiples of q, so adding the coordinate's t-exponent, below q, keeps
-    the coordinates' terms apart: the body is their union over den(t^q),
-    reduced once."""
+    the coordinates' terms apart: the body is their union over the
+    smallest key's entry read at t^q, reduced once."""
     p = ctx.p
     q = p ** m
     terms = {}
-    for ex, c in vec.num.items():
+    for ex, c in vec.items():
         for f, a in c.terms.items():
             terms[tuple(x * q + y for x, y in zip(f, ex))] = a
     body = RatFunc(MultiPoly(p, ctx.nvars, terms),
-                   vec.den.scale_exponents(q))
+                   vec[min(vec)].scale_exponents(q))
     return PerfElem(ctx, m, body)
 
 
-def vec_mul(ctx: Context, m: int, a: Vec, b: Vec) -> Vec:
+def vec_mul(ctx: Context, m: int, a: dict, b: dict) -> dict:
     """Product of two level-m vectors; t-exponent overflow moves into k
-    as a monomial factor of the numerator.  The denominators multiply,
-    and nothing is reduced."""
+    as a monomial factor of the entry.  Nothing is reduced."""
     q = ctx.p ** m
-    if len(a.num) > len(b.num):
+    if len(a) > len(b):
         a, b = b, a
-    den = a.den if b.den.is_one() else (
-        b.den if a.den.is_one() else a.den * b.den)
     out: dict = {}
-    for e, c in a.num.items():
-        for f, d in b.num.items():
+    for e, c in a.items():
+        for f, d in b.items():
             rem = tuple(map(add, e, f))
             coeff = c * d
             if max(rem) >= q:
@@ -140,18 +139,17 @@ def vec_mul(ctx: Context, m: int, a: Vec, b: Vec) -> Vec:
                     out[rem] = s
                 else:
                     del out[rem]
-    return Vec(out, den)
+    return out
 
 
-def _lift_vec(vec: Vec, factor: int) -> Vec:
+def _lift_vec(vec: dict, factor: int) -> dict:
     """A level-m vector re-keyed at level m + j, with factor = p^j.
 
     With factor 1 the vector itself is returned, not a copy; echelon rows
     are never mutated once stored, so sharing them is safe."""
     if factor == 1:
         return vec
-    return Vec({tuple(x * factor for x in ex): c for ex, c in vec.num.items()},
-               vec.den)
+    return {tuple(x * factor for x in ex): c for ex, c in vec.items()}
 
 
 def _log_p(n: int, p: int) -> int:
@@ -197,9 +195,8 @@ class Subfield:
         """k itself; its one-row basis {1} is built on first use."""
 
         def build():
-            one = MultiPoly.one(ctx.p, ctx.nvars)
             ech = Echelon()
-            ech.insert(Vec({(0,) * ctx.nvars: one}, one))
+            ech.insert({(0,) * ctx.nvars: MultiPoly.one(ctx.p, ctx.nvars)})
             return ech
 
         return cls(ctx, 0, (), 0, build, _private=_TOKEN)
@@ -310,13 +307,12 @@ class Subfield:
         with no insert.  The generators are the rows, in pivot order."""
         m = next(m for m in range(level + 1)
                  if not any(x % ctx.p ** (level - m)
-                            for v in vecs for e in v.num for x in e))
+                            for v in vecs for e in v for x in e))
         factor = ctx.p ** (level - m)
         rows = [v if factor == 1 else
-                Vec({tuple(x // factor for x in e): c
-                     for e, c in v.num.items()}, v.den)
+                {tuple(x // factor for x in e): c for e, c in v.items()}
                 for v in vecs]
-        ech = Echelon.from_reduced({min(v.num): v for v in rows})
+        ech = Echelon.from_reduced({min(v): v for v in rows})
         gens = tuple(from_vector(ctx, r, m) for r in ech.basis_rows())
         return cls(ctx, m, gens, _log_p(len(ech), ctx.p), lambda: ech,
                    _private=_TOKEN)
@@ -450,8 +446,8 @@ class Subfield:
         ech = Echelon()
         for piv, row in sorted(self._echelon.rows.items()):
             if not outside(piv):
-                ech.insert(Vec({(0 if outside(e) else 1, e): c
-                                for e, c in row.num.items()}, row.den))
+                ech.insert({(0 if outside(e) else 1, e): c
+                            for e, c in row.items()})
         field = Subfield._from_vectors(self.ctx, self.level, ech.block1_rows())
         if field.level > n:
             raise InternalInconsistency("truncation left elements above the cut")

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from pinsep.linalg import Echelon, Vec
+from pinsep.linalg import Echelon
 from pinsep.perfect import Context
 from pinsep.polynomials import MultiPoly, RatFunc, mp_exact_div, mp_gcd
 from pinsep.subfields import RBase, Subfield
@@ -152,39 +152,42 @@ def greedy_exponents_over(K, L):
     return greedy_rbase_over(K, L).exponents
 
 
-def vector(entries, p=3, nvars=1) -> Vec:
-    """The Vec of the fractions {key: RatFunc}: each numerator over the
-    lcm of the entries' denominators.  The lcm shares no factor with all
-    numerators, so a vector 1 at its smallest key is a canonical row.
-    p and nvars give the ring of an empty vector's denominator."""
+def vector(entries) -> dict:
+    """The vector of the fractions {key: RatFunc}: the entries times the
+    lcm of their denominators, a vector on the same line over k."""
     entries = {k: c for k, c in entries.items() if not c.is_zero()}
-    if entries:
-        first = next(iter(entries.values()))
-        p, nvars = first.p, first.nvars
-    lcm = MultiPoly.one(p, nvars)
+    if not entries:
+        return {}
+    lcm = next(iter(entries.values())).den
     for c in entries.values():
         lcm = mp_exact_div(lcm * c.den, mp_gcd(lcm, c.den))
-    return Vec({k: c.num * mp_exact_div(lcm, c.den)
-                for k, c in entries.items()}, lcm)
+    return {k: c.num * mp_exact_div(lcm, c.den) for k, c in entries.items()}
 
 
-def fractions(v: Vec) -> dict:
-    """A Vec read as {key: RatFunc}, each entry a reduced fraction."""
-    return {k: RatFunc(n, v.den) for k, n in v.num.items()}
+def fractions(v: dict) -> dict:
+    """A vector read as {key: RatFunc}, scaled to 1 at its smallest key:
+    the value of a canonical row, and one point of any vector's line."""
+    if not v:
+        return {}
+    lead = v[min(v)]
+    return {k: RatFunc(n, lead) for k, n in v.items()}
+
+
+def is_canonical(row: dict) -> bool:
+    """Whether a nonzero vector is a canonical row: monic at its smallest
+    key, with no factor common to all its entries."""
+    lead = row[min(row)]
+    g = lead
+    for n in row.values():
+        g = mp_gcd(g, n)
+    return lead.leading()[1] == 1 and g.is_one()
 
 
 def assert_canonical(ech: Echelon):
-    """Every stored row pivots on its smallest column, has a monic
-    denominator equal to its numerator there, and no factor common to
-    the denominator and all numerators."""
+    """Every stored row pivots on its smallest column and is canonical."""
     for piv, row in ech.rows.items():
-        assert piv == min(row.num)
-        assert row.num[piv] == row.den
-        assert row.den.leading()[1] == 1
-        g = row.den
-        for n in row.num.values():
-            g = mp_gcd(g, n)
-        assert g.is_one(), (piv, row)
+        assert piv == min(row)
+        assert is_canonical(row), (piv, row)
 
 
 def vec_add_scaled(v: dict, w: dict, c: RatFunc) -> dict:
@@ -206,8 +209,8 @@ class FractionEchelon:
     """Reference reduced echelon over dicts of fractions {key: RatFunc},
     each entry its own reduced fraction: the pivot of a row is its
     smallest column, and the row is 1 there.  An independent route for
-    linalg.Echelon, which keeps polynomial numerators over one
-    denominator per row."""
+    linalg.Echelon, whose rows hold polynomials and stand for their
+    lines."""
 
     def __init__(self, rows=None):
         self.rows = dict(rows or {})     # pivot -> {key: RatFunc}

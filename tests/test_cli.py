@@ -678,17 +678,15 @@ def test_exit_codes(config_path, tmp_path):
     (["invariants", "exe1:abc"], "the stage of field 'exe1:abc'"),
     (["family", "exe1", "invariants", "--n", "2", "--params", "n=3"],
      "--n 2 and --params n=3"),
+    (["truncate", "exe1:3", "--n", "-1"],
+     "truncation level must be nonnegative"),
 ], ids=["unknown_n", "unknown_param", "zero_horizon", "param_not_integer",
-        "empty_stage", "stage_not_integer", "two_different_n"])
+        "empty_stage", "stage_not_integer", "two_different_n",
+        "negative_truncation_level"])
 def test_bad_family_parameters_are_parse_errors(argv, needle):
     rc, out, err = run_cli(*argv)
     assert (rc, out) == (2, "")
     assert err.startswith("error[parse]:") and needle in err
-
-
-def test_negative_truncation_level_is_a_parse_error():
-    assert run_cli("truncate", "exe1:3", "--n", "-1") == (
-        2, "", "error[parse]: truncation level must be nonnegative\n")
 
 
 def test_equal_n_and_params_n_are_accepted():

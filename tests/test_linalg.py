@@ -10,7 +10,7 @@ from pinsep.linalg import (Echelon, InconsistentSystem, intersect_spans,
 from pinsep.polynomials import MultiPoly, RatFunc
 from pinsep.subfields import to_vector
 
-from conftest import (assert_canonical, echelon_of, fractions,
+from conftest import (assert_canonical, echelon_of, fractions, is_canonical,
                       random_fields, rank, vec_add_scaled, vector)
 
 
@@ -116,8 +116,8 @@ def test_echelon_canonical_under_insertion_order():
 
 def rbase_products(K):
     """The vectors of the products g_1^a_1 ... g_r^a_r, a_i < p^o_i, over
-    K's greedy r-base (g_i, o_i): a k-basis of K, entered with the
-    denominators to_vector gives them, not in lowest terms."""
+    K's greedy r-base (g_i, o_i): a k-basis of K, entered as to_vector
+    gives them, with a common factor where the product has one."""
     elems = [K.ctx.one()]
     rbase = K.greedy_rbase()
     for g, o in zip(rbase.elements, rbase.exponents):
@@ -133,23 +133,20 @@ def rbase_products(K):
 @settings(max_examples=25, deadline=None)
 def test_rows_canonical_under_insertion_orders(K, rng):
     """Whatever the insertion order, after every insert each stored row
-    has a monic denominator equal to its pivot numerator and no factor
-    common to the denominator and all numerators; the rows come out
-    identical, numerators and denominators alike, and equal K's own.
-    (Fields of degree above 8 are left out: eliminating all their
-    products in a random order can run for minutes, with fractions as
-    with numerators over one denominator.)"""
+    is monic at its pivot and has no factor common to all its entries;
+    the rows come out identical and equal K's own.  (Fields of degree
+    above 8 are left out: eliminating all their products in a random
+    order can run for minutes, with fractions as with polynomial
+    rows.)"""
     vecs = rbase_products(K)
-    own = {piv: (row.num, row.den)
-           for piv, row in K._echelon.rows.items()}
+    own = K._echelon.rows
     for _ in range(3):
         rng.shuffle(vecs)
         ech = Echelon()
         for v in vecs:
             assert ech.insert(v)
             assert_canonical(ech)
-        assert {piv: (row.num, row.den)
-                for piv, row in ech.rows.items()} == own
+        assert ech.rows == own
 
 
 def test_solve_substitute_residual_zero_randomized():
@@ -176,7 +173,7 @@ def test_solve_substitute_residual_zero_randomized():
         for xj, col in zip(xs_true, cols):
             rhs = vec_add_scaled(rhs, col, xj)
         try:
-            xs = solve([vector(col, p) for col in cols], vector(rhs, p), p, 1)
+            xs = solve([vector(col) for col in cols], vector(rhs), p, 1)
         except ArithmeticError:
             continue  # singular draw: not unique, nothing to verify
         residual = dict(rhs)
@@ -205,9 +202,9 @@ def test_block1_rows_hold_no_block0_column(block0, vectors):
         assert ech.insert(v) == (rank(inserted) > rank(vecs[:i]))
         block1 = []
         for piv, row in ech.rows.items():
-            assert piv == min(row.num) and fractions(row)[piv].is_one()
+            assert piv == min(row)
             if piv[0] == 1:
-                assert all(k[0] == 1 for k in row.num)
+                assert all(k[0] == 1 for k in row)
                 block1.append(row)
         assert_canonical(ech)
         kept = list(ech.rows.values())
@@ -219,11 +216,15 @@ def test_block1_rows_hold_no_block0_column(block0, vectors):
 
 def reduce_by_vec_add_scaled(ech, v):
     """Reference reduction on fractions: one fresh vector per pivot
-    cleared."""
+    cleared.  The remainder comes scaled to 1 at its smallest key, as
+    fractions reads a vector."""
     v = fractions(v)
     for k in [k for k in v if k in ech.rows]:
         v = vec_add_scaled(v, fractions(ech.rows[k]), -v[k])
-    return v
+    if not v:
+        return v
+    inv = v[min(v)].inverse()
+    return {k: c * inv for k, c in v.items()}
 
 
 sparse_vectors = st.lists(
@@ -249,15 +250,14 @@ def test_reduce_in_place_matches_reference(basis, queries):
     stored = []
     for d in basis:
         ech.insert(sparse_vec(d))
-        stored.extend((row, dict(row.num), row.den)
-                      for row in ech.rows.values())
-    for row, copy, den in stored:
-        assert row.num == copy and row.den is den
+        stored.extend((row, dict(row)) for row in ech.rows.values())
+    for row, copy in stored:
+        assert row == copy
     for d in queries:
         v = sparse_vec(d)
-        before = dict(v.num), v.den
+        before = dict(v)
         assert fractions(ech.reduce(v)) == reduce_by_vec_add_scaled(ech, v)
-        assert (v.num, v.den) == before
+        assert v == before
 
 
 @given(sparse_vectors)
@@ -265,19 +265,17 @@ def test_reduce_in_place_matches_reference(basis, queries):
 def test_insert_never_mutates_its_argument(vectors):
     """insert leaves every argument as it was.  When the span grows, the
     new row is the argument itself exactly when the argument held no
-    pivot column and was 1 at its smallest column; a vector that had to
-    be cleared or scaled is stored as a new Vec.  (sparse_vec's vectors
-    are in lowest terms, so one that is 1 at its smallest column is a
-    canonical row.)"""
+    pivot column and was a canonical row; a vector that had to be
+    cleared or scaled is stored as a new dict."""
     ech = Echelon()
     for d in vectors:
         v = sparse_vec(d)
-        before = dict(v.num), v.den
-        clean = (v.num and not any(k in ech.rows for k in v.num)
-                 and fractions(v)[min(v.num)].is_one())
+        before = dict(v)
+        clean = (v and not any(k in ech.rows for k in v)
+                 and is_canonical(v))
         old = set(ech.rows)
         grew = ech.insert(v)
-        assert (v.num, v.den) == before
+        assert v == before
         if grew:
             piv, = set(ech.rows) - old
             assert (ech.rows[piv] is v) == bool(clean)
@@ -299,12 +297,12 @@ def test_intersect_spans_dimension_formula(rows_a, rows_b):
 @settings(max_examples=100, deadline=None)
 def test_nullspace_annihilates_rows(rows, n):
     """Every kernel vector annihilates every row, there are n - rank of
-    them, and each is 1 at its smallest index."""
+    them, and each is a canonical row."""
     eqs = [vector({j: a for j, a in fractions(sparse_vec(d)).items()
                    if j < n}) for d in rows]
     kernel = nullspace(eqs, n, 3, 1)
+    assert all(is_canonical(lam) for lam in kernel)
     for lam in map(fractions, kernel):
-        assert lam[min(lam)].is_one()
         for row in map(fractions, eqs):
             acc = c(0)
             for j, a in row.items():

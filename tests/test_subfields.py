@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinsep import invariants, linalg, report, subfields
-from pinsep.linalg import Echelon, InconsistentSystem, Vec, nullspace, solve
-from pinsep.perfect import Context
+from pinsep.linalg import Echelon, InconsistentSystem, nullspace, solve
+from pinsep.perfect import Context, PerfElem
 from pinsep.polynomials import MultiPoly, RatFunc
 from pinsep.subfields import (InternalInconsistency, RBase, Subfield, _log_p,
                               from_vector, to_vector, vec_mul)
@@ -93,18 +93,22 @@ def test_span_brute_force_dimension_oracle(ctx):
 @settings(max_examples=40, deadline=None)
 def test_to_vector_of_quotients(p, data):
     """On elements with a denominator, the coordinates are keyed below
-    q = p^m, all over the element's denominator read in x, monic, with
-    no zero numerator; from_vector inverts to_vector at the element's
-    own level and two levels above it."""
+    q = p^m, with no zero entry, and they are those of d*e, d the
+    element's denominator read in x: from_vector, which reads a vector
+    over its entry at the smallest key, gives d*e/vec[min] at the
+    element's own level and two levels above it.  Zero has no
+    coordinates."""
     ctx = Context(p, ("X", "Y"))
     e = data.draw(quotients(ctx))
     for m in range(e.level, e.level + 3):
         vec = to_vector(e, m)
-        assert all(x < p ** m for key in vec.num for x in key)
-        assert vec.den == e.body_at_level(m).den
-        assert vec.den.leading()[1] == 1
-        assert all(not c.is_zero() for c in vec.num.values())
-        assert from_vector(ctx, vec, m) == e
+        if e.is_zero():
+            assert vec == {}
+            continue
+        assert all(x < p ** m for key in vec for x in key)
+        assert all(not c.is_zero() for c in vec.values())
+        scale = RatFunc(e.body_at_level(m).den, vec[min(vec)])
+        assert from_vector(ctx, vec, m) == e * PerfElem(ctx, 0, scale)
 
 
 @given(st.sampled_from([2, 3]), st.data())
@@ -410,7 +414,7 @@ def test_truncation_inserts_pivoted_rows_once(monkeypatch):
 
 
 def row_fractions(rows):
-    """Echelon rows {pivot: Vec} read as {pivot: {key: RatFunc}}."""
+    """Echelon rows {pivot: row} read as {pivot: {key: RatFunc}}."""
     return {piv: fractions(row) for piv, row in rows.items()}
 
 
@@ -436,8 +440,8 @@ def check_seeded_rows(K, L):
         factor = field.ctx.p ** (level - field.level)
         ech = Echelon()
         for v in vecs:
-            assert ech.insert(Vec({tuple(x // factor for x in e): c
-                                   for e, c in v.num.items()}, v.den))
+            assert ech.insert({tuple(x // factor for x in e): c
+                               for e, c in v.items()})
         assert (row_fractions(field._echelon.rows)
                 == row_fractions(ech.rows))
 
@@ -590,15 +594,15 @@ def check_adjoin_from_reduced_rows(K):
             r = F.rel_exponent(e)
             if r == 0:
                 continue
-            before = {piv: (row, dict(row.num), row.den)
+            before = {piv: (row, dict(row))
                       for piv, row in F._echelon.rows.items()}
             rows = F._adjoin_by(e, r)._echelon.rows
             assert (row_fractions(rows)
                     == row_fractions(adjoin_rows_from_scratch(F, e, r)))
             assert F._echelon.rows.keys() == before.keys()
-            for piv, (row, copy, den) in before.items():
+            for piv, (row, copy) in before.items():
                 assert F._echelon.rows[piv] is row
-                assert row.num == copy and row.den is den
+                assert row == copy
             checked += 1
     return checked
 
