@@ -100,11 +100,12 @@ def defining_equations(K: Subfield) -> dict:
     with eps in the box {0 <= eps_t < p^(m_t - m_j)}; the coefficients are
     the unique elements of k expressing the relation, solved exactly, and
     are returned as level-0 PerfElem.  to_vector gives the coordinates of
-    d_w*w_eps and d*alpha_j^(p^m_j), with d_w and d their denominators
-    read in x, so the solve finds C*d/d_w, and each C is that times
-    d_w/d.  They are solved once per field and kept on K (the modularity
-    criterion and the r-base report both ask), so the returned dict is
-    shared and must not be changed.
+    d_w*w_eps and d*alpha_j^(p^m_j), with d_w and d their own
+    denominators read in x, whatever the level of the solve, so the
+    solve finds C*d/d_w, and each C is that times d_w/d.  They are
+    solved once per field and kept on K (the modularity criterion and
+    the r-base report both ask), so the returned dict is shared and
+    must not be changed.
     """
 
     def solve_all():
@@ -132,9 +133,9 @@ def defining_equations(K: Subfield) -> dict:
                 raise InternalInconsistency(
                     f"defining equation {j} has no unique solution: "
                     f"{exc}") from exc
-            d = rhs_elem.body_at_level(level).den
+            d = rhs_elem.body.den
             for eps, w, c in zip(box, monomials, coeffs):
-                d_w = w.body_at_level(level).den
+                d_w = w.body.den
                 if d_w != d:
                     c = RatFunc(c.num * d_w, c.den * d)
                 out[(j, eps)] = PerfElem(K.ctx, 0, c)

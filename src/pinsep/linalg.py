@@ -117,10 +117,15 @@ class Echelon:
     share rows, and `insert` stores a vector as given when it is already
     canonical and holds no pivot column.  A reduced basis seeds a larger
     echelon through `from_reduced`, without being inserted again.
+
+    The span's `support`, the columns where some vector of it is
+    nonzero, is read off the rows on first use and kept until an insert
+    grows the span; an echelon nobody asks never computes it.
     """
 
     def __init__(self):
         self.rows = {}            # pivot_key -> canonical row
+        self._support = None
 
     @classmethod
     def from_reduced(cls, rows: dict) -> "Echelon":
@@ -134,6 +139,16 @@ class Echelon:
 
     def __len__(self):
         return len(self.rows)
+
+    @property
+    def support(self) -> frozenset:
+        """The columns where some vector of the span is nonzero.  It
+        depends on the span alone and is the union of the keys of any
+        spanning set, so of the rows.  A vector with a nonzero entry
+        outside it is not in the span."""
+        if self._support is None:
+            self._support = frozenset().union(*self.rows.values())
+        return self._support
 
     def reduce(self, v: dict) -> dict:
         """A multiple of v's remainder after eliminating every pivot
@@ -175,6 +190,7 @@ class Echelon:
             if piv in row:
                 rows[pk] = _clear_pivot(row, pk, piv, r)
         rows[piv] = r
+        self._support = None
         return True
 
     def member(self, v: dict) -> bool:

@@ -69,28 +69,34 @@ class RBase:
 
 def to_vector(e: PerfElem, m: int) -> dict:
     """The coordinates of d*e over k in the t-monomial basis of A_m, where
-    d is e's denominator read in x; the vector stands for e's line.
+    d is e's own denominator read in x, the same at every m >= e.level;
+    the vector stands for e's line.
 
-    With q = p^m, e = num(t)/den(t) = num(t) den(t)^(q-1) / den(t)^q, and
-    den(t)^q is den read in x: the same exponent tuples, so the same
-    MultiPoly, and that is d.  den^(q-1) is the product of the m
-    Frobenius-scaled copies of den^(p-1).  A term c t^a of num den^(q-1)
-    is c x^(a // q) t^(a % q), so the terms grouped by a % q give one
-    polynomial in x per coordinate, with no gcd.  Two terms with the same
-    a % q differ in a // q, so nothing cancels.
+    At e's own level L, with q = p^L, e = num(t)/den(t) =
+    num(t) den(t)^(q-1) / den(t)^q, and den(t)^q is den read in x: the
+    same exponent tuples, so the same MultiPoly, and that is d.
+    den^(q-1) is the product of the L Frobenius-scaled copies of
+    den^(p-1).  A term c t^a of num den^(q-1) is c x^(a // q) t^(a % q),
+    so the terms grouped by a % q give one polynomial in x per
+    coordinate, with no gcd.  Two terms with the same a % q differ in
+    a // q, so nothing cancels.  The level-L monomial t^b is the level-m
+    monomial with exponents b * p^(m - L), so the keys at level m are
+    those at level L times that factor.
     """
     ctx = e.ctx
     p = ctx.p
-    q = p ** m
-    body = e.body_at_level(m)
-    poly, den = body.num, body.den
+    if m < e.level:
+        raise ValueError("cannot lower the level of a canonical element")
+    q = p ** e.level
+    f = p ** (m - e.level)
+    poly, den = e.body.num, e.body.den
     if not den.is_one():
         block = den ** (p - 1)
-        for j in range(m):
+        for j in range(e.level):
             poly = poly * block.scale_exponents(p ** j)
     coords: dict = {}
     for ex, c in poly.terms.items():
-        rem = tuple([x % q for x in ex])
+        rem = tuple([x % q * f for x in ex])
         coords.setdefault(rem, {})[tuple([x // q for x in ex])] = c
     return {rem: MultiPoly(p, ctx.nvars, terms)
             for rem, terms in coords.items()}
@@ -345,14 +351,20 @@ class Subfield:
     def member(self, e: PerfElem) -> bool:
         """Whether e lies in K.  Levels settle two cases without a basis:
         an element of level 0 lies in k, which K contains, and one above
-        K's level lies outside K ⊆ A_level."""
-        if e.ctx != self.ctx:
+        K's level lies outside K ⊆ A_level.  Otherwise an element with a
+        coordinate outside the support of K's span is not in K, with no
+        elimination: _eliminate only scales by nonzero polynomials and
+        adds rows that are zero there, so that coordinate never cancels.
+        The rest are decided by reducing against K's basis."""
+        if e.ctx is not self.ctx and e.ctx != self.ctx:
             raise ValueError("element from a different context")
         if e.level == 0:
             return True
         if e.level > self.level:
             return False
-        return self._echelon.member(to_vector(e, self.level))
+        ech = self._echelon
+        v = to_vector(e, self.level)
+        return v.keys() <= ech.support and ech.member(v)
 
     def contains_field(self, other: "Subfield") -> bool:
         if other.degree_log > self.degree_log:

@@ -281,6 +281,26 @@ def test_insert_never_mutates_its_argument(vectors):
             assert (ech.rows[piv] is v) == bool(clean)
 
 
+@given(sparse_vectors, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_support_is_the_union_of_row_keys(vectors, rng):
+    """support is the union of the keys of the inserted vectors, a
+    spanning set, so the same set for every insertion order.  Read
+    before each insert, it is right again after it, and an echelon
+    seeded by from_reduced reads the same set off its rows."""
+    vecs = [sparse_vec(d) for d in vectors]
+    expected = set().union(*vecs)
+    for _ in range(3):
+        rng.shuffle(vecs)
+        ech = Echelon()
+        for v in vecs:
+            before = ech.support
+            ech.insert(v)
+            assert before <= ech.support == set().union(*ech.rows.values())
+        assert ech.support == expected
+        assert Echelon.from_reduced(dict(ech.rows)).support == expected
+
+
 @given(sparse_vectors, sparse_vectors)
 @settings(max_examples=50, deadline=None)
 def test_intersect_spans_dimension_formula(rows_a, rows_b):

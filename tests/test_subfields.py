@@ -4,6 +4,7 @@ Frobenius images, truncations, linear disjointness, relative exponents."""
 import gc
 import random
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -94,12 +95,14 @@ def test_span_brute_force_dimension_oracle(ctx):
 def test_to_vector_of_quotients(p, data):
     """On elements with a denominator, the coordinates are keyed below
     q = p^m, with no zero entry, and they are those of d*e, d the
-    element's denominator read in x: from_vector, which reads a vector
-    over its entry at the smallest key, gives d*e/vec[min] at the
-    element's own level and two levels above it.  Zero has no
-    coordinates."""
+    element's own denominator read in x at every level: from_vector,
+    which reads a vector over its entry at the smallest key, gives
+    d*e/vec[min] at the element's own level and two levels above it,
+    and the vector at level m is the one at the element's level with
+    its keys times p^(m - level).  Zero has no coordinates."""
     ctx = Context(p, ("X", "Y"))
     e = data.draw(quotients(ctx))
+    own = to_vector(e, e.level)
     for m in range(e.level, e.level + 3):
         vec = to_vector(e, m)
         if e.is_zero():
@@ -107,8 +110,11 @@ def test_to_vector_of_quotients(p, data):
             continue
         assert all(x < p ** m for key in vec for x in key)
         assert all(not c.is_zero() for c in vec.values())
-        scale = RatFunc(e.body_at_level(m).den, vec[min(vec)])
+        scale = RatFunc(e.body.den, vec[min(vec)])
         assert from_vector(ctx, vec, m) == e * PerfElem(ctx, 0, scale)
+        f = p ** (m - e.level)
+        assert vec == {tuple(x * f for x in key): c
+                       for key, c in own.items()}
 
 
 @given(st.sampled_from([2, 3]), st.data())
@@ -495,10 +501,35 @@ def rel_exponent_by_scan(K, a):
                 if member_by_basis(K, a.frob(j)))
 
 
+def random_monomial(ctx, rng, max_level):
+    """A product of roots x^(1/p^j) of the variables, each j <= max_level."""
+    t = ctx.one()
+    for v in ctx.variables:
+        t = t * ctx.root_of_variable(v, rng.randint(0, max_level)) ** \
+            rng.randint(0, 2)
+    return t
+
+
+def membership_outcome(K, e):
+    """How e's membership in K is decided: by levels, by a coordinate
+    where every row of K's basis is zero, or by elimination, which
+    finds a member or not."""
+    if e.level == 0 or e.level > K.level:
+        return "level"
+    rows = K._echelon.rows.values()
+    if any(all(key not in row for row in rows)
+           for key in to_vector(e, K.level)):
+        return "support"
+    return "member" if member_by_basis(K, e) else "eliminated"
+
+
 def check_level_shortcuts(K, rng):
     """member and rel_exponent against the basis routes, on K's
-    generators, their Frobenius powers down to k, elements of k and
-    random elements of levels up to 2."""
+    generators, their Frobenius powers down to k, elements of k, random
+    elements of levels up to 2, basis elements of K and sums of two of
+    them, a basis element times a random monomial of level <= K.level,
+    and quotients.  Returns how many probes each route of
+    membership_outcome decided."""
     ctx = K.ctx
     probes = [ctx.zero(), ctx.one()]
     for g in K.gens:
@@ -507,15 +538,44 @@ def check_level_shortcuts(K, rng):
                for _ in range(2)]
     probes += [random_element(ctx, rng, max_level=2, max_terms=2)
                for _ in range(4)]
+    basis = rng.sample(K.basis_elements(), min(3, K.degree))
+    probes += basis + [a + b for a, b in zip(basis, basis[1:])]
+    probes += [b * random_monomial(ctx, rng, K.level) for b in basis[:2]]
+    for _ in range(2):
+        a, b = (random_element(ctx, rng, max_level=2, max_terms=2)
+                for _ in range(2))
+        probes.append(a if b.is_zero() else a / b)
+    outcomes = Counter()
     for e in probes:
         assert K.member(e) == member_by_basis(K, e), e
         assert K.rel_exponent(e) == rel_exponent_by_scan(K, e), e
+        outcomes[membership_outcome(K, e)] += 1
+    return outcomes
 
 
 def test_level_shortcuts_match_basis_routes(small_corpus):
+    """Over the corpus, each of the support test, elimination and a
+    member decides some probe, so each route is compared."""
     rng = random.Random(808)
+    outcomes = Counter()
     for K in small_corpus:
-        check_level_shortcuts(K, rng)
+        outcomes += check_level_shortcuts(K, rng)
+    assert all(outcomes[o] for o in ("support", "eliminated", "member")), \
+        outcomes
+
+
+def test_support_rejects_without_elimination(ctx):
+    """An element with a coordinate outside the support of K's span is
+    refused before any elimination: with Echelon.reduce made to raise,
+    it still gets False, while a member reaches reduce."""
+    K = section5_field(ctx)
+    e = ctx.root_of_variable("Y", 2)
+    assert not to_vector(e, K.level).keys() <= K._echelon.support
+    with mock.patch.object(Echelon, "reduce",
+                           side_effect=AssertionError("reduce ran")):
+        assert not K.member(e)
+        with pytest.raises(AssertionError, match="reduce ran"):
+            K.member(ctx.root_of_variable("X", 2))
 
 
 @given(random_fields, st.randoms(use_true_random=False))
