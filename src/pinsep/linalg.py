@@ -118,37 +118,30 @@ class Echelon:
     canonical and holds no pivot column.  A reduced basis seeds a larger
     echelon through `from_reduced`, without being inserted again.
 
-    The span's `support`, the columns where some vector of it is
-    nonzero, is read off the rows on first use and kept until an insert
-    grows the span; an echelon nobody asks never computes it.
+    `support` is the set of columns where some vector of the span is
+    nonzero.  It is the union of the keys of any spanning set, so of the
+    rows, and `insert` keeps it exact by adding the keys of each new
+    row.  A vector with a nonzero entry outside it is not in the span.
+    Callers must not change it, as they must not change a stored row.
     """
 
     def __init__(self):
         self.rows = {}            # pivot_key -> canonical row
-        self._support = None
+        self.support = set()
 
     @classmethod
     def from_reduced(cls, rows: dict) -> "Echelon":
         """The echelon whose rows are `rows` (pivot -> row), taken over as
         they are.  They must already be a reduced basis of canonical rows:
         each pivoted on its smallest column and 0 at every other row's
-        pivot."""
+        pivot.  The support is read off them once."""
         ech = cls()
         ech.rows = rows
+        ech.support = set().union(*rows.values())
         return ech
 
     def __len__(self):
         return len(self.rows)
-
-    @property
-    def support(self) -> frozenset:
-        """The columns where some vector of the span is nonzero.  It
-        depends on the span alone and is the union of the keys of any
-        spanning set, so of the rows.  A vector with a nonzero entry
-        outside it is not in the span."""
-        if self._support is None:
-            self._support = frozenset().union(*self.rows.values())
-        return self._support
 
     def reduce(self, v: dict) -> dict:
         """A multiple of v's remainder after eliminating every pivot
@@ -184,13 +177,16 @@ class Echelon:
             return False
         piv = min(r)
         r = _canonical(r, piv)
-        # keep the basis fully reduced: clear the new pivot everywhere
+        # keep the basis fully reduced: clear the new pivot from every
+        # row that holds it; only a column in the support can sit in a
+        # stored row, so a pivot outside it needs no probe
         rows = self.rows
-        for pk, row in rows.items():
-            if piv in row:
-                rows[pk] = _clear_pivot(row, pk, piv, r)
+        if piv in self.support:
+            for pk, row in rows.items():
+                if piv in row:
+                    rows[pk] = _clear_pivot(row, pk, piv, r)
+        self.support.update(r)
         rows[piv] = r
-        self._support = None
         return True
 
     def member(self, v: dict) -> bool:

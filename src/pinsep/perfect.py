@@ -83,7 +83,7 @@ class Context:
 class PerfElem:
     """Canonical minimal-level element of the perfect closure."""
 
-    __slots__ = ("ctx", "level", "body", "_hash")
+    __slots__ = ("ctx", "level", "body")
 
     def __init__(self, ctx: Context, level: int, body: RatFunc):
         if body.p != ctx.p or body.nvars != ctx.nvars:
@@ -98,7 +98,6 @@ class PerfElem:
         self.ctx = ctx
         self.level = level
         self.body = body
-        self._hash = None
 
     # -- helpers --------------------------------------------------------
 
@@ -176,9 +175,7 @@ class PerfElem:
                 and self.level == other.level and self.body == other.body)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.level, self.body))
-        return self._hash
+        return hash((self.level, self.body))
 
     def render(self) -> str:
         """Expression-grammar text; parse(render(e)) reproduces e exactly."""

@@ -41,7 +41,7 @@ class MultiPoly:
     [1, p).  Zero coefficients are never stored.
     """
 
-    __slots__ = ("p", "nvars", "terms", "_hash")
+    __slots__ = ("p", "nvars", "terms")
 
     def __init__(self, p: int, nvars: int, terms=None):
         if p not in SMALL_PRIMES:
@@ -57,7 +57,6 @@ class MultiPoly:
                         raise ValueError("exponent tuple of wrong length")
                     clean[e] = c
         self.terms = clean
-        self._hash = None
 
     # -- constructors ------------------------------------------------
 
@@ -65,7 +64,7 @@ class MultiPoly:
     def _raw(p, nvars, terms):
         """Wrap a term map that is already clean (no zero residues)."""
         out = MultiPoly.__new__(MultiPoly)
-        out.p, out.nvars, out.terms, out._hash = p, nvars, terms, None
+        out.p, out.nvars, out.terms = p, nvars, terms
         return out
 
     @classmethod
@@ -264,9 +263,7 @@ class MultiPoly:
                 and self.nvars == other.nvars and self.terms == other.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.p, self.nvars, tuple(self.sorted_terms())))
-        return self._hash
+        return hash((self.p, self.nvars, tuple(self.sorted_terms())))
 
     def __repr__(self):
         return f"MultiPoly(p={self.p}, {self.sorted_terms()})"
@@ -502,7 +499,7 @@ def _prs(a, b, p, nv):
 class RatFunc:
     """Canonical fraction num/den of MultiPoly: reduced, den monic, den != 0."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly, _normalized=False):
         if den.is_zero():
@@ -511,7 +508,6 @@ class RatFunc:
             num, den = _rf_normalize(num, den)
         self.num = num
         self.den = den
-        self._hash = None
 
     # -- constructors ------------------------------------------------
 
@@ -641,9 +637,7 @@ class RatFunc:
                 and self.den == other.den)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return (f"RatFunc(p={self.p}, num={self.num.sorted_terms()}, "

@@ -10,8 +10,9 @@ from pinsep.linalg import (Echelon, InconsistentSystem, intersect_spans,
 from pinsep.polynomials import MultiPoly, RatFunc
 from pinsep.subfields import to_vector
 
-from conftest import (assert_canonical, echelon_of, fractions, is_canonical,
-                      random_fields, rank, vec_add_scaled, vector)
+from conftest import (FractionEchelon, assert_canonical, echelon_of, fractions,
+                      is_canonical, random_fields, rank, vec_add_scaled,
+                      vector)
 
 
 def c(v, p=3, nv=1):
@@ -294,11 +295,45 @@ def test_support_is_the_union_of_row_keys(vectors, rng):
         rng.shuffle(vecs)
         ech = Echelon()
         for v in vecs:
-            before = ech.support
+            before = set(ech.support)
             ech.insert(v)
             assert before <= ech.support == set().union(*ech.rows.values())
         assert ech.support == expected
         assert Echelon.from_reduced(dict(ech.rows)).support == expected
+
+
+class _UnprobedRows(dict):
+    """A row map whose items() raises, so a loop over the stored rows
+    fails."""
+
+    def items(self):
+        raise AssertionError("stored rows probed")
+
+
+def test_insert_outside_support_probes_no_row():
+    """Only a column in the support can sit in a stored row, so an insert
+    whose pivot lies outside it clears nothing and reads no stored row."""
+    x = x_poly()
+    row = vector({1: c(1), 2: x})
+    ech = Echelon.from_reduced(_UnprobedRows({1: row}))
+    assert ech.support == {1, 2}
+    assert ech.insert(vector({0: c(1), 3: c(2)}))
+    assert ech.insert(vector({4: x}))
+    assert ech.rows[1] is row
+    assert ech.support == {0, 1, 2, 3, 4}
+
+
+def test_insert_clears_a_new_pivot_from_the_rows_holding_it():
+    """A new pivot that is a non-pivot column of a stored row lies in the
+    support, and the row is cleared of it."""
+    x = x_poly()
+    vecs = [{1: c(1), 2: x, 3: c(1)}, {2: x + c(1), 3: c(2)}]
+    ech, ref = Echelon(), FractionEchelon()
+    for v in vecs:
+        assert ech.insert(vector(v)) and ref.insert(v)
+    assert 2 not in ech.rows[1]
+    assert_canonical(ech)
+    assert {pk: fractions(row) for pk, row in ech.rows.items()} == ref.rows
 
 
 @given(sparse_vectors, sparse_vectors)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pinsep.exprs import parse_element
 from pinsep.perfect import CapExceeded, Context, PerfElem
 from pinsep.polynomials import MultiPoly, RatFunc
 
@@ -47,6 +48,24 @@ def test_frob_roundtrip_examples(ctx):
     half = X.frob(-1)
     assert half.level == 1
     assert half.frob(1) == X
+
+
+def test_equal_values_hash_equal(ctx):
+    """Values equal by two routes hash equal, at every layer: an element
+    parsed and the same one computed, a Frobenius round trip, and one
+    fraction reduced two ways."""
+    X, Y = ctx.variable("X"), ctx.variable("Y")
+    e = parse_element(ctx, "(X+Y)^2/(X*Y) + rt(Z,1)")
+    f = X / Y + Y / X + ctx.variable("Z").frob(-1)
+    x, y = X.body.num, Y.body.num
+    r, s = RatFunc(x * x + y * y, x * x + x * y), RatFunc(x + y, x)
+    pairs = [(e, f), (e.body, f.body), (e.body.num, f.body.num),
+             ((X * Y + Y).frob(-2).frob(2), (X + ctx.one()) * Y),
+             (r, s), (r.num, s.num), (r.den, s.den),
+             (MultiPoly(2, 3, {(1, 0, 0): 1, (0, 1, 0): 1}),
+              MultiPoly(2, 3, {(0, 1, 0): 1, (1, 0, 0): 1}))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 def test_frob_of_sum_is_sum_of_roots(ctx):
