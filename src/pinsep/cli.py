@@ -57,6 +57,8 @@ def load_config(text: str) -> ContextConfig:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("invalid YAML: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a mapping")
     try:

@@ -169,7 +169,10 @@ class _Parser:
 
 def parse_element(ctx: Context, text: str, bindings=None) -> PerfElem:
     """Parse an element expression in the given context."""
-    return _Parser(ctx, text, bindings).parse()
+    try:
+        return _Parser(ctx, text, bindings).parse()
+    except RecursionError:
+        raise ExprError("expression nested too deeply", 0) from None
 
 
 def render_element(e: PerfElem) -> str:

@@ -16,12 +16,11 @@ reduced basis of a subspace is canonical: it depends only on the
 spanned subspace, never on the order in which generating vectors were
 inserted.  Elimination against a row whose pivot entry is 1 runs no gcd.
 
-A caller that must keep some columns from pivoting tags the keys: (0, k)
-for the columns that may pivot and (1, k) for the rest.  Tuples compare
-on their first element, so a row pivots in block 1 only when it holds no
-block-0 column; the rows pivoted in block 1 are a canonical reduced basis
-of the inserted span's vectors that vanish on block 0.  Kernels,
-intersections, truncations and inconsistent solves are read off them.
+`kernel` reads every answer that needs some columns kept from pivoting:
+it tags the keys of one part of each inserted vector (0, k) and of the
+other (1, k), and tuples compare on their first element, so a row pivots
+in block 1 only when its block-0 part is gone.  Kernels, intersections
+and truncations call it; `solve` keeps its own augmented read.
 """
 
 from __future__ import annotations
@@ -164,17 +163,19 @@ class Echelon:
             _eliminate(out, k, rows[k])
         return out
 
-    def insert(self, v: dict) -> bool:
-        """Reduce v and add it to the basis; True iff the span grew.
+    def insert(self, v: dict):
+        """Reduce v and add it to the basis.  Returns the canonical row
+        it stores, the very dict, or None when v lies in the span.
 
-        The new row and every row it changes are made canonical once.
-        v is handed over: a v that holds no pivot column and is already
+        The new row and every row it changes are made canonical once; a
+        later insert may replace the stored row, never change it.  v is
+        handed over: a v that holds no pivot column and is already
         canonical is stored as it is, so the caller must not change v
         afterwards.  v itself is never mutated.
         """
         r = self.reduce(v)
         if not r:
-            return False
+            return None
         piv = min(r)
         r = _canonical(r, piv)
         # keep the basis fully reduced: clear the new pivot from every
@@ -187,7 +188,7 @@ class Echelon:
                     rows[pk] = _clear_pivot(row, pk, piv, r)
         self.support.update(r)
         rows[piv] = r
-        return True
+        return r
 
     def member(self, v: dict) -> bool:
         return not self.reduce(v)
@@ -196,34 +197,36 @@ class Echelon:
         """The rows in increasing pivot order."""
         return [self.rows[k] for k in sorted(self.rows)]
 
-    def block1_rows(self):
-        """The rows pivoted in block 1 of tagged keys, in pivot order, with
-        the tags stripped."""
-        return [{k[1]: c for k, c in self.rows[piv].items()}
-                for piv in sorted(self.rows) if piv[0] == 1]
+
+def kernel(pairs):
+    """Canonical reduced basis of {sum c_i*b_i : sum c_i*a_i = 0} over
+    the pairs of vectors (a_i, b_i), in increasing pivot order.
+
+    Each pair enters one echelon as one vector, a's keys tagged (0, k)
+    and b's (1, k).  A row pivots in block 1 only when its a-part is
+    gone, so those rows span that space, and with the tags stripped
+    they are reduced and canonical.
+    """
+    ech = Echelon()
+    for a, b in pairs:
+        v = {(0, k): c for k, c in a.items()}
+        v.update({(1, k): c for k, c in b.items()})
+        ech.insert(v)
+    return [{k[1]: c for k, c in ech.rows[piv].items()}
+            for piv in sorted(ech.rows) if piv[0] == 1]
 
 
 def nullspace(rows, n_unknowns, p, nvars):
-    """Nullspace basis of the system sum_j row[j]*x_j = 0 for each row.
-
-    rows are vectors keyed by unknown indices 0..n-1.  Returns the
-    kernel's reduced basis as canonical rows: each is pivoted on its
-    smallest unknown index and 0 at the others' pivots, and they come in
-    increasing order of that index.
+    """Nullspace basis of the system sum_j row[j]*x_j = 0 for each row,
+    the rows keyed by the unknowns 0..n-1: the kernel of the pairs
+    (column j, e_j), as canonical rows in increasing pivot order.
     """
-    # unknown j enters as its column (0, i) -> rows[i][j] tagged with
-    # (1, j) -> 1; the rows pivoted among the tags are kernel combinations
     one = MultiPoly.one(p, nvars)
     cols = {}
     for i, row in enumerate(rows):
         for j, c in row.items():
-            cols.setdefault(j, {})[(0, i)] = c
-    ech = Echelon()
-    for j in range(n_unknowns):
-        v = dict(cols.get(j, {}))
-        v[(1, j)] = one
-        ech.insert(v)
-    return ech.block1_rows()
+            cols.setdefault(j, {})[i] = c
+    return kernel((cols.get(j, {}), {j: one}) for j in range(n_unknowns))
 
 
 def solve(columns, rhs, p, nvars):
@@ -264,16 +267,8 @@ def solve(columns, rhs, p, nvars):
 def intersect_spans(rows_a, rows_b):
     """Canonical reduced basis of span(rows_a) ∩ span(rows_b).
 
-    Zassenhaus augmentation: rows of a enter as [v | v], rows of b as
-    [v | 0], the left half tagged 0 and the right half 1.  A vector of
-    the joint span whose left half vanishes has its right half in the
-    intersection, so the rows pivoted in the right half are its basis.
+    Zassenhaus: the kernel of the pairs (v, v) for the rows a_i of a
+    and (v, 0) for the rows b_j of b, as sum c_i*a_i + sum d_j*b_j = 0
+    puts sum c_i*a_i in both spans.
     """
-    ech = Echelon()
-    for v in rows_a:
-        aug = {(0, k): c for k, c in v.items()}
-        aug.update({(1, k): c for k, c in v.items()})
-        ech.insert(aug)
-    for v in rows_b:
-        ech.insert({(0, k): c for k, c in v.items()})
-    return ech.block1_rows()
+    return kernel([(v, v) for v in rows_a] + [(v, {}) for v in rows_b])

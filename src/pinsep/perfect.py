@@ -90,10 +90,11 @@ class PerfElem:
             raise ValueError("body does not match the context")
         if level < 0:
             raise ValueError("negative level")
-        # canonical form: strip p-divisible levels
+        # canonical form: strip p-divisible levels; a constant lies in k,
+        # so its level drops to 0 at once
         while level > 0 and body.exponents_divisible(ctx.p):
             body = body.divide_exponents(ctx.p)
-            level -= 1
+            level = 0 if body.is_const() else level - 1
         ctx.check_level(level)
         self.ctx = ctx
         self.level = level

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .linalg import Echelon, intersect_spans
+from .linalg import Echelon, intersect_spans, kernel
 from .perfect import Context, PerfElem
 from .polynomials import MultiPoly, RatFunc
 
@@ -265,14 +265,18 @@ class Subfield:
         k-basis.  The build seeds its echelon with K's reduced rows lifted
         to K(e)'s level (layer l = 0): scaling every exponent by the same
         power of p keeps lex order, so each row keeps its pivot and stays
-        reduced.  It then inserts the layers 1 <= l < p^r, each product as
-        soon as it is made, and checks that each insert grows the span.
-        A product is kept only while e^(l+1) still needs it, in the slot
-        of the row it came from, so the build holds its echelon and at
-        most one layer, and nothing of the last layer beyond the echelon.
-        The insert check catches an r that is too large when the basis is
-        built; an r that is too small goes undetected and yields a proper
-        subspace of K(e), not a field.
+        reduced.  Layer l + 1 is the rows `insert` returned for layer l
+        times e, each inserted as it is made and checked to grow the span.
+        The row returned for b*e^l is a nonzero k-multiple of b*e^l minus
+        a vector of the span before it, so times e it is one of b*e^(l+1)
+        minus a vector of the span before b's next insert: each insert
+        grows the span exactly when the raw product would.  The row is
+        used as returned, since a later clear may replace the row stored
+        at its pivot with one mixing in later products.  It is kept only
+        while e^(l+1) needs it, so a build holds its echelon and at most
+        one layer.  The insert check catches an r that is too large; an r
+        that is too small goes undetected and yields a proper subspace of
+        K(e), not a field.
 
         Each call makes a new field.  It holds K, its parent, until its
         basis is built; K holds nothing of it.
@@ -293,12 +297,12 @@ class Subfield:
             last = ctx.p ** r - 1
             for l in range(1, last + 1):
                 for i, v in enumerate(layer):
-                    w = vec_mul(ctx, m, v, gvec)
-                    layer[i] = w if l < last else None
-                    if not ech.insert(w):
+                    row = ech.insert(vec_mul(ctx, m, v, gvec))
+                    if row is None:
                         raise InternalInconsistency(
                             f"adjoin: product by e^{l} fell in the span, "
                             f"against [K(e) : K] = {ctx.p}^{r}")
+                    layer[i] = row if l < last else None
             return ech
 
         return Subfield(ctx, m, self.gens + (e,), self.degree_log + r, build,
@@ -442,9 +446,8 @@ class Subfield:
         Each row of K's reduced basis is 1 at its own pivot and 0 at the
         other rows' pivots, so an element of K ∩ A_n, being 0 at every
         pivot outside A_n, is a combination of the rows pivoted inside
-        A_n.  Those rows go into an echelon with the columns outside A_n
-        tagged 0 and those inside tagged 1; the rows it pivots in block 1
-        are a basis of k_n.
+        A_n.  k_n is the kernel of the pairs (part outside A_n, part
+        inside A_n) of those rows.
         """
         if n < 0:
             raise ValueError("truncation level must be nonnegative")
@@ -452,15 +455,16 @@ class Subfield:
             return self
         step = self.ctx.p ** (self.level - n)
 
-        def outside(e):
-            return any(x % step for x in e)
+        def split(row):
+            parts = {}, {}
+            for e, c in row.items():
+                parts[not any(x % step for x in e)][e] = c
+            return parts
 
-        ech = Echelon()
-        for piv, row in sorted(self._echelon.rows.items()):
-            if not outside(piv):
-                ech.insert({(0 if outside(e) else 1, e): c
-                            for e, c in row.items()})
-        field = Subfield._from_vectors(self.ctx, self.level, ech.block1_rows())
+        rows = sorted(self._echelon.rows.items())
+        vecs = kernel(split(row) for piv, row in rows
+                      if not any(x % step for x in piv))
+        field = Subfield._from_vectors(self.ctx, self.level, vecs)
         if field.level > n:
             raise InternalInconsistency("truncation left elements above the cut")
         return field

@@ -743,13 +743,52 @@ def test_console_entry_point():
     assert "lpi = 3" in proc.stdout
 
 
-def run_module(*argv, **env):
+def run_module(*argv, timeout=120, **env):
     """Run `python -m pinsep.cli` in a fresh interpreter with extra env."""
     full_env = dict(os.environ, **env)
     full_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=full_env, timeout=120)
+                          text=True, env=full_env, timeout=timeout)
+
+
+def nested(depth, inner, open_, close):
+    return open_ * depth + inner + close * depth
+
+
+# (name, context document or None, argv, exit code, error kind or None)
+MALFORMED = [
+    ("constant-root", None, ["member", "rt(1,99999999)", "nonmodular_basic"],
+     0, None),
+    ("level-cap", None, ["member", "rt(X,99999999)", "nonmodular_basic"],
+     3, "cap"),
+    ("deep-argument", None,
+     ["member", nested(2000, "X", "(", ")"), "nonmodular_basic"], 2, "parse"),
+    ("deep-field", "p: 2\nvariables: [X]\nfields:\n  K: [\""
+     + nested(1500, "X", "(", ")") + "\"]\n", ["invariants", "K"], 2, "parse"),
+    ("deep-yaml-list", "p: 2\nvariables: [X]\nfields:\n  K: "
+     + nested(3000, "", "[", "]") + "\n", ["invariants", "K"], 2, "parse"),
+]
+
+
+@pytest.mark.parametrize("doc,argv,code,kind",
+                         [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_fails_fast(tmp_path, doc, argv, code, kind):
+    """Each input ends within 30 s with its documented exit code, never 1
+    (an uncaught exception); an error prints one error[kind] line and
+    nothing else."""
+    if doc is not None:
+        path = tmp_path / "ctx.yaml"
+        path.write_text(doc)
+        argv = ["--context", str(path), *argv]
+    proc = run_module("-m", "pinsep.cli", *argv, timeout=30)
+    assert proc.returncode == code != 1
+    if kind is None:
+        assert proc.stderr == ""
+    else:
+        line, = proc.stderr.splitlines()
+        assert line.startswith(f"error[{kind}]: ")
 
 
 @pytest.mark.parametrize("seed", ["0", "7", "999"])

@@ -85,6 +85,15 @@ def test_cap_error_propagates():
         parse_element(tight, "rt(X,4)")
 
 
+def test_root_of_a_constant_lies_in_k(ctx):
+    """A constant lies in k at level 0, whatever root of it is taken; no
+    level is stripped one at a time."""
+    one = parse_element(Context(3, ("X", "Y")), "rt(1,99999999)")
+    assert one.is_one() and one.level == 0
+    zero = parse_element(ctx, "rt(2*X^0,40000000)")
+    assert zero.is_zero() and zero.level == 0
+
+
 def test_bindings(ctx):
     a1 = parse_element(ctx, "rt(X,2)")
     e = parse_element(ctx, "a1*rt(Y,1)", bindings={"a1": a1})

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinsep.linalg import (Echelon, InconsistentSystem, intersect_spans,
-                           nullspace, solve)
+                           kernel, nullspace, solve)
 from pinsep.polynomials import MultiPoly, RatFunc
 from pinsep.subfields import to_vector
 
@@ -193,14 +193,17 @@ def test_block1_rows_hold_no_block0_column(block0, vectors):
     insert, each row pivots on its smallest column, each row pivoted in
     block 1 holds no block-0 column, the rows span exactly what was
     inserted, and the block-1 rows span its vectors that vanish on
-    block 0 (dimension: rank minus the rank of the block-0 parts)."""
+    block 0 (dimension: rank minus the rank of the block-0 parts).
+    kernel on the same vectors, split into their block-0 and block-1
+    parts, returns exactly those block-1 rows with the tags stripped."""
     x = x_poly()
     vecs = [vector({(0 if k in block0 else 1, k): c(v) * x if k % 2 else c(v)
                     for k, v in d.items()}) for d in vectors]
     ech = Echelon()
     for i, v in enumerate(vecs):
         inserted = vecs[:i + 1]
-        assert ech.insert(v) == (rank(inserted) > rank(vecs[:i]))
+        grew = ech.insert(v) is not None
+        assert grew == (rank(inserted) > rank(vecs[:i]))
         block1 = []
         for piv, row in ech.rows.items():
             assert piv == min(row)
@@ -213,6 +216,10 @@ def test_block1_rows_hold_no_block0_column(block0, vectors):
         block0_parts = [vector({k: a for k, a in fractions(w).items()
                                 if k[0] == 0}) for w in inserted]
         assert len(block1) == rank(inserted) - rank(block0_parts)
+    pairs = [tuple({k[1]: a for k, a in v.items() if k[0] == tag}
+                   for tag in (0, 1)) for v in vecs]
+    assert kernel(pairs) == [{k[1]: a for k, a in ech.rows[piv].items()}
+                             for piv in sorted(ech.rows) if piv[0] == 1]
 
 
 def reduce_by_vec_add_scaled(ech, v):
@@ -280,6 +287,23 @@ def test_insert_never_mutates_its_argument(vectors):
         if grew:
             piv, = set(ech.rows) - old
             assert (ech.rows[piv] is v) == bool(clean)
+
+
+@given(sparse_vectors)
+@settings(max_examples=100, deadline=None)
+def test_insert_returns_the_row_it_stores(vectors):
+    """insert returns the very dict it stores at the new pivot, the
+    smallest key of that row, and None for a vector in the span."""
+    ech = Echelon()
+    for d in vectors:
+        v = sparse_vec(d)
+        inside = ech.member(v)
+        r = ech.insert(v)
+        if inside:
+            assert r is None
+        else:
+            assert ech.rows[min(r)] is r
+        assert ech.insert(v) is None
 
 
 @given(sparse_vectors, st.randoms(use_true_random=False))

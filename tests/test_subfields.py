@@ -742,6 +742,21 @@ def test_adjoin_checks_tower_law(ctx, monkeypatch):
         K.adjoin(e).basis_vectors()
 
 
+@pytest.mark.parametrize("p,level,r", [(2, 2, 3), (3, 1, 2)])
+def test_overstated_exponent_caught_in_a_middle_layer(p, level, r):
+    """o(e/k) = level for e = X^(1/p^level); with r above it, the layer
+    of e^(p^level) = X, before the last layer p^r - 1, falls in the
+    span.  Each layer multiplies the rows the last one stored, and the
+    insert check still raises there."""
+    ctx = Context(p, ("X", "Y"))
+    e = ctx.root_of_variable("X", level)
+    field = Subfield.base(ctx)._adjoin_by(e, r)
+    assert p ** level < p ** r - 1
+    with pytest.raises(InternalInconsistency,
+                       match=rf"product by e\^{p ** level} fell in the span"):
+        field.basis_vectors()
+
+
 def test_degree_over_lifted_base(ctx):
     # K = k(X^(1/4)): [A_1(K) : A_1] = 2 (only X^(1/4) survives)
     K = Subfield.span(ctx, roots(ctx, [("X", 2)]))
@@ -848,14 +863,15 @@ def mirror_inserts(monkeypatch):
                 {piv: fractions(row) for piv, row in self.rows.items()})
         ref = mirrors[id(self)][1]
         before = dict(self.rows)
-        grew = real(self, v)
+        stored = real(self, v)
+        grew = stored is not None
         assert grew == ref.insert(fractions(v))
         assert self.rows.keys() == ref.rows.keys()
         for piv, row in self.rows.items():
             if before.get(piv) is not row:
                 assert fractions(row) == ref.rows[piv], piv
         checked.append(grew)
-        return grew
+        return stored
 
     monkeypatch.setattr(Echelon, "insert", insert)
     return checked
