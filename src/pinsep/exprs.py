@@ -9,15 +9,22 @@
 Names refer to context variables or to named bindings; integer literals
 are reduced mod p; rt(e, j) denotes e^(1/p^j).  render_element produces a
 canonical string and parse(render(e)) == e holds bit-exactly.
+
+A power whose numerator or denominator could pass MAX_POWER_TERMS terms
+is refused with CapExceeded before any product is formed.
 """
 
 from __future__ import annotations
 
 import re
 
-from .perfect import Context, PerfElem
+from .perfect import CapExceeded, Context, PerfElem
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^,]))")
+
+MAX_POWER_TERMS = 2 ** 16
+"""The most terms the numerator or the denominator of a parsed power may
+be predicted to have: (X+Y)^65535 over p = 2, 65,536 terms, still parses."""
 
 
 class ExprError(ValueError):
@@ -127,6 +134,7 @@ class _Parser:
             n = self.integer(signed=True)
             if n < 0 and e.is_zero():
                 raise ExprError("zero to a negative power", pos)
+            _check_power_size(e, n, pos)
             e = e ** n
         return e
 
@@ -165,6 +173,27 @@ class _Parser:
             self.expect_op(")")
             return e
         raise ExprError("expected an element", pos)
+
+
+def _check_power_size(e: PerfElem, n: int, pos: int):
+    """Refuse e^n when its numerator or denominator may pass
+    MAX_POWER_TERMS terms.  A polynomial's power multiplies one
+    Frobenius-scaled copy of it per unit of each base-p digit of the
+    exponent, and a copy has as many terms as the polynomial, so f^n has
+    at most len(f)^s terms, s the base-p digit sum of |n|; e^-n is the
+    inverse of e^n, its numerator and denominator swapped."""
+    p = e.ctx.p
+    s, m = 0, abs(n)
+    while m:
+        s += m % p
+        m //= p
+    for part, f in (("numerator", e.body.num), ("denominator", e.body.den)):
+        t = len(f.terms)
+        if t > 1 and t ** s > MAX_POWER_TERMS:
+            raise CapExceeded(
+                f"power ^{n} at position {pos}: its {t}-term {part} may "
+                f"reach {t}^{s} terms, more than the limit of "
+                f"{MAX_POWER_TERMS}")
 
 
 def parse_element(ctx: Context, text: str, bindings=None) -> PerfElem:

@@ -20,7 +20,8 @@ from .polynomials import SMALL_PRIMES, MultiPoly, RatFunc
 
 
 class CapExceeded(ValueError):
-    """An operation would leave the configured ambient level cap."""
+    """An operation would pass a fixed bound: the configured ambient level
+    cap, or the term limit of a parsed power (exprs.MAX_POWER_TERMS)."""
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,13 @@ class PerfElem:
         self.level = level
         self.body = body
 
+    @classmethod
+    def _of(cls, ctx: Context, level: int, body: RatFunc) -> "PerfElem":
+        """Wrap a body already canonical at `level`, within the cap."""
+        out = cls.__new__(cls)
+        out.ctx, out.level, out.body = ctx, level, body
+        return out
+
     # -- helpers --------------------------------------------------------
 
     def body_at_level(self, m: int) -> RatFunc:
@@ -150,16 +158,29 @@ class PerfElem:
 
         frob(frob(e, j), -j) == e always; roots exist because the ambient
         perfect closure is closed under them (subject to the level cap).
+
+        The map keeps the body and moves the level.  The body of an
+        element of level >= 1 is canonical: some exponent of it is prime
+        to p.  That holds at every other level >= 1 as well, so the
+        result needs no stripping, and a root only checks its level
+        against the cap.  A body that lands at level 0 is canonical
+        there by definition.  A level-0 body may have every exponent
+        divisible by p (the p-th root of X^p is X), so a root of it goes
+        through the stripping constructor.
         """
         if j == 0:
             return self
+        ctx, level = self.ctx, self.level
         if j < 0:
-            return PerfElem(self.ctx, self.level - j, self.body)
-        if j >= self.level:
+            if level == 0:
+                return PerfElem(ctx, -j, self.body)
+            ctx.check_level(level - j)
+            return PerfElem._of(ctx, level - j, self.body)
+        if j >= level:
             # lands in k; remaining powers act on level-0 exponents
-            body = self.body.scale_exponents(self.ctx.p ** (j - self.level))
-            return PerfElem(self.ctx, 0, body)
-        return PerfElem(self.ctx, self.level - j, self.body)
+            body = self.body.scale_exponents(ctx.p ** (j - level))
+            return PerfElem._of(ctx, 0, body)
+        return PerfElem._of(ctx, level - j, self.body)
 
     # -- predicates -------------------------------------------------------
 

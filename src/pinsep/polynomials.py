@@ -12,21 +12,22 @@ is structural.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add, sub
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
 
-_ZERO_EXPS = {}     # nvars -> (0,) * nvars, built once per variable count
-_CONSTS = {}        # (p, nvars, c) -> the one constant MultiPoly c
+class _ZeroExps(dict):
+    """nvars -> (0,) * nvars, built on the first lookup of each count."""
 
-
-def _zero_exp(nvars: int) -> tuple:
-    try:
-        return _ZERO_EXPS[nvars]
-    except KeyError:
-        z = _ZERO_EXPS[nvars] = (0,) * nvars
+    def __missing__(self, nvars):
+        z = self[nvars] = (0,) * nvars
         return z
+
+
+_ZERO_EXPS = _ZeroExps()
+_CONSTS = {}        # (p, nvars, c) -> the one constant MultiPoly c
 
 
 def grlex_key(exp: tuple) -> tuple:
@@ -61,8 +62,10 @@ class MultiPoly:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def _raw(p, nvars, terms):
-        """Wrap a term map that is already clean (no zero residues)."""
+    def from_clean(p, nvars, terms):
+        """Wrap a term map that is already clean: residues in [1, p) and
+        exponent tuples of length nvars.  The map is taken over, not
+        copied, and nothing is checked."""
         out = MultiPoly.__new__(MultiPoly)
         out.p, out.nvars, out.terms = p, nvars, terms
         return out
@@ -82,8 +85,8 @@ class MultiPoly:
         try:
             return _CONSTS[key]
         except KeyError:
-            out = _CONSTS[key] = cls._raw(
-                p, nvars, {_zero_exp(nvars): c} if c else {})
+            out = _CONSTS[key] = cls.from_clean(
+                p, nvars, {_ZERO_EXPS[nvars]: c} if c else {})
             return out
 
     @classmethod
@@ -106,11 +109,12 @@ class MultiPoly:
         return not self.terms
 
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and sum(next(iter(self.terms))) == 0)
+        t = self.terms
+        return not t or (len(t) == 1 and _ZERO_EXPS[self.nvars] in t)
 
     def is_one(self):
         t = self.terms
-        return len(t) == 1 and t.get(_zero_exp(self.nvars)) == 1
+        return len(t) == 1 and t.get(_ZERO_EXPS[self.nvars]) == 1
 
     def is_monomial(self):
         return len(self.terms) == 1
@@ -156,14 +160,14 @@ class MultiPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return MultiPoly._raw(p, self.nvars, terms)
+        return MultiPoly.from_clean(p, self.nvars, terms)
 
     def __neg__(self):
         p = self.p
         if p == 2:
             return self         # -1 = 1 in characteristic 2
         terms = {e: p - c for e, c in self.terms.items()}
-        return MultiPoly._raw(p, self.nvars, terms)
+        return MultiPoly.from_clean(p, self.nvars, terms)
 
     def __sub__(self, other):
         return self + (-other)
@@ -187,9 +191,9 @@ class MultiPoly:
                 (f, d), = b.items()
                 if d == 1 and not any(f):
                     return small
-                return MultiPoly._raw(p, self.nvars,
-                                      {tuple(map(add, e, f)): c * d % p})
-            return MultiPoly._raw(p, self.nvars, {
+                return MultiPoly.from_clean(
+                    p, self.nvars, {tuple(map(add, e, f)): c * d % p})
+            return MultiPoly.from_clean(p, self.nvars, {
                 tuple(map(add, e, f)): c * d % p for f, d in b.items()})
         acc: dict = {}
         for e, c in a.items():
@@ -200,7 +204,7 @@ class MultiPoly:
                     acc[g] = s
                 else:
                     acc.pop(g, None)
-        return MultiPoly._raw(p, self.nvars, acc)
+        return MultiPoly.from_clean(p, self.nvars, acc)
 
     def scale(self, c: int):
         """Multiply by the scalar c mod p."""
@@ -210,11 +214,11 @@ class MultiPoly:
         if c == 1:
             return self
         terms = {e: (v * c) % self.p for e, v in self.terms.items()}
-        return MultiPoly._raw(self.p, self.nvars, terms)
+        return MultiPoly.from_clean(self.p, self.nvars, terms)
 
     def mul_monomial(self, exp: tuple):
         terms = {tuple(map(add, e, exp)): v for e, v in self.terms.items()}
-        return MultiPoly._raw(self.p, self.nvars, terms)
+        return MultiPoly.from_clean(self.p, self.nvars, terms)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -244,17 +248,17 @@ class MultiPoly:
         """Substitute x_i -> x_i^k; for k = p^j this equals the p^j-th power."""
         if k == 1:
             return self
-        terms = {tuple(x * k for x in e): c for e, c in self.terms.items()}
-        return MultiPoly._raw(self.p, self.nvars, terms)
+        terms = {tuple([x * k for x in e]): c for e, c in self.terms.items()}
+        return MultiPoly.from_clean(self.p, self.nvars, terms)
 
     def exponents_divisible(self, k: int) -> bool:
-        return all(x % k == 0 for e in self.terms for x in e)
+        return not any(map(k.__rmod__, chain.from_iterable(self.terms)))
 
     def divide_exponents(self, k: int):
-        terms = {tuple(x // k for x in e): c for e, c in self.terms.items()}
-        if any(x % k for e in self.terms for x in e):
+        if not self.exponents_divisible(k):
             raise ValueError("exponents not divisible")
-        return MultiPoly._raw(self.p, self.nvars, terms)
+        terms = {tuple([x // k for x in e]): c for e, c in self.terms.items()}
+        return MultiPoly.from_clean(self.p, self.nvars, terms)
 
     # -- comparison -----------------------------------------------------
 
@@ -315,7 +319,7 @@ def mp_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             if min(q, default=0) < 0:
                 raise ArithmeticError("division was expected to be exact")
             terms[q] = v * inv % p
-        return MultiPoly._raw(p, f.nvars, terms)
+        return MultiPoly.from_clean(p, f.nvars, terms)
     if not g.terms:
         raise ZeroDivisionError("polynomial division by zero")
     ge, gc = g.leading()
@@ -337,7 +341,7 @@ def mp_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 work[t] = s
             else:
                 work.pop(t, None)
-    return MultiPoly._raw(p, f.nvars, quot)
+    return MultiPoly.from_clean(p, f.nvars, quot)
 
 
 def _monomial_content(f: MultiPoly) -> tuple:
@@ -349,7 +353,7 @@ def _monomial_content(f: MultiPoly) -> tuple:
 
 def _shift_down(f: MultiPoly, mono: tuple) -> MultiPoly:
     terms = {tuple(map(sub, e, mono)): c for e, c in f.terms.items()}
-    return MultiPoly._raw(f.p, f.nvars, terms)
+    return MultiPoly.from_clean(f.p, f.nvars, terms)
 
 
 def _to_univariate(f: MultiPoly, i: int):
@@ -433,7 +437,7 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         common, = g.terms
         for e in f.terms:
             common = tuple(map(min, common, e))
-        return MultiPoly._raw(f.p, f.nvars, {common: 1})
+        return MultiPoly.from_clean(f.p, f.nvars, {common: 1})
     mono_f = _monomial_content(f)
     mono_g = _monomial_content(g)
     common = tuple(min(a, b) for a, b in zip(mono_f, mono_g))

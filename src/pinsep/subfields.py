@@ -67,7 +67,7 @@ class RBase:
 # ----------------------------------------------------------------------
 
 
-def to_vector(e: PerfElem, m: int) -> dict:
+def to_vector(e: PerfElem, m: int, support=None) -> dict:
     """The coordinates of d*e over k in the t-monomial basis of A_m, where
     d is e's own denominator read in x, the same at every m >= e.level;
     the vector stands for e's line.
@@ -79,9 +79,14 @@ def to_vector(e: PerfElem, m: int) -> dict:
     den^(p-1).  A term c t^a of num den^(q-1) is c x^(a // q) t^(a % q),
     so the terms grouped by a % q give one polynomial in x per
     coordinate, with no gcd.  Two terms with the same a % q differ in
-    a // q, so nothing cancels.  The level-L monomial t^b is the level-m
-    monomial with exponents b * p^(m - L), so the keys at level m are
-    those at level L times that factor.
+    a // q, so nothing cancels: every term's key is a key of the vector.
+    The level-L monomial t^b is the level-m monomial with exponents
+    b * p^(m - L), so the keys at level m are those at level L times
+    that factor.
+
+    Given a set of keys `support`, the result is None as soon as one
+    term's key lies outside it, before any coordinate is built: by the
+    above, the vector then has a nonzero entry there.
     """
     ctx = e.ctx
     p = ctx.p
@@ -96,10 +101,13 @@ def to_vector(e: PerfElem, m: int) -> dict:
             poly = poly * block.scale_exponents(p ** j)
     coords: dict = {}
     for ex, c in poly.terms.items():
-        rem = tuple([x % q * f for x in ex])
-        coords.setdefault(rem, {})[tuple([x // q for x in ex])] = c
-    return {rem: MultiPoly(p, ctx.nvars, terms)
-            for rem, terms in coords.items()}
+        key = tuple([x % q * f for x in ex])
+        if support is not None and key not in support:
+            return None
+        coords.setdefault(key, {})[tuple([x // q for x in ex])] = c
+    nvars = ctx.nvars
+    return {key: MultiPoly.from_clean(p, nvars, terms)
+            for key, terms in coords.items()}
 
 
 def from_vector(ctx: Context, vec: dict, m: int) -> PerfElem:
@@ -116,8 +124,8 @@ def from_vector(ctx: Context, vec: dict, m: int) -> PerfElem:
     terms = {}
     for ex, c in vec.items():
         for f, a in c.terms.items():
-            terms[tuple(x * q + y for x, y in zip(f, ex))] = a
-    body = RatFunc(MultiPoly(p, ctx.nvars, terms),
+            terms[tuple([x * q + y for x, y in zip(f, ex)])] = a
+    body = RatFunc(MultiPoly.from_clean(p, ctx.nvars, terms),
                    vec[min(vec)].scale_exponents(q))
     return PerfElem(ctx, m, body)
 
@@ -155,7 +163,7 @@ def _lift_vec(vec: dict, factor: int) -> dict:
     are never mutated once stored, so sharing them is safe."""
     if factor == 1:
         return vec
-    return {tuple(x * factor for x in ex): c for ex, c in vec.items()}
+    return {tuple([x * factor for x in ex]): c for ex, c in vec.items()}
 
 
 def _log_p(n: int, p: int) -> int:
@@ -289,7 +297,7 @@ class Subfield:
 
         def build():
             factor = ctx.p ** (m - self.level)
-            rows = {tuple(x * factor for x in piv): _lift_vec(row, factor)
+            rows = {tuple([x * factor for x in piv]): _lift_vec(row, factor)
                     for piv, row in sorted(self._echelon.rows.items())}
             ech = Echelon.from_reduced(rows)
             layer = list(rows.values())
@@ -315,12 +323,12 @@ class Subfield:
         every key by the same power of p keeps lex order, so each row
         keeps its pivot and the rescaled rows seed the echelon as they are,
         with no insert.  The generators are the rows, in pivot order."""
+        exps = [x for v in vecs for e in v for x in e]
         m = next(m for m in range(level + 1)
-                 if not any(x % ctx.p ** (level - m)
-                            for v in vecs for e in v for x in e))
+                 if not any(map((ctx.p ** (level - m)).__rmod__, exps)))
         factor = ctx.p ** (level - m)
         rows = [v if factor == 1 else
-                {tuple(x // factor for x in e): c for e, c in v.items()}
+                {tuple([x // factor for x in e]): c for e, c in v.items()}
                 for v in vecs]
         ech = Echelon.from_reduced({min(v): v for v in rows})
         gens = tuple(from_vector(ctx, r, m) for r in ech.basis_rows())
@@ -357,9 +365,10 @@ class Subfield:
         an element of level 0 lies in k, which K contains, and one above
         K's level lies outside K ⊆ A_level.  Otherwise an element with a
         coordinate outside the support of K's span is not in K, with no
-        elimination: _eliminate only scales by nonzero polynomials and
-        adds rows that are zero there, so that coordinate never cancels.
-        The rest are decided by reducing against K's basis."""
+        elimination: every vector of the span is zero there.  to_vector
+        stops at the first term keyed outside the support, before any
+        coordinate polynomial is built.  The rest are decided by reducing
+        against K's basis."""
         if e.ctx is not self.ctx and e.ctx != self.ctx:
             raise ValueError("element from a different context")
         if e.level == 0:
@@ -367,8 +376,8 @@ class Subfield:
         if e.level > self.level:
             return False
         ech = self._echelon
-        v = to_vector(e, self.level)
-        return v.keys() <= ech.support and ech.member(v)
+        v = to_vector(e, self.level, ech.support)
+        return v is not None and ech.member(v)
 
     def contains_field(self, other: "Subfield") -> bool:
         if other.degree_log > self.degree_log:
@@ -453,17 +462,17 @@ class Subfield:
             raise ValueError("truncation level must be nonnegative")
         if n >= self.level:
             return self
-        step = self.ctx.p ** (self.level - n)
+        off = (self.ctx.p ** (self.level - n)).__rmod__
 
         def split(row):
             parts = {}, {}
             for e, c in row.items():
-                parts[not any(x % step for x in e)][e] = c
+                parts[not any(map(off, e))][e] = c
             return parts
 
         rows = sorted(self._echelon.rows.items())
         vecs = kernel(split(row) for piv, row in rows
-                      if not any(x % step for x in piv))
+                      if not any(map(off, piv)))
         field = Subfield._from_vectors(self.ctx, self.level, vecs)
         if field.level > n:
             raise InternalInconsistency("truncation left elements above the cut")

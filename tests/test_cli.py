@@ -13,7 +13,8 @@ import pytest
 
 from pinsep import report, towers
 from pinsep.cli import ConfigError, build_parser, load_config, main
-from pinsep.subfields import InternalInconsistency
+from pinsep.exprs import parse_element
+from pinsep.subfields import InternalInconsistency, to_vector
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -768,6 +769,8 @@ MALFORMED = [
      + nested(1500, "X", "(", ")") + "\"]\n", ["invariants", "K"], 2, "parse"),
     ("deep-yaml-list", "p: 2\nvariables: [X]\nfields:\n  K: "
      + nested(3000, "", "[", "]") + "\n", ["invariants", "K"], 2, "parse"),
+    ("huge-power", None, ["member", "(X+Y)^1073741823", "nonmodular_basic"],
+     3, "cap"),
 ]
 
 
@@ -801,6 +804,34 @@ def test_golden_independent_of_hash_seed(name, args, seed):
     proc = run_module("-m", "pinsep.cli", *args, PYTHONHASHSEED=seed)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / name).read_text()
+
+
+# exe2:3 and one element for each way member decides: a key outside the
+# support of the field's span, elimination, and a member
+MEMBER_ROUTES = (("support", "rt(Z3,3)"), ("eliminated", "rt(Z1,2)+rt(Z2,2)"),
+                 ("member", "rt(X,3)*rt(Z1,2)+rt(Z2,2)"))
+
+
+@pytest.mark.parametrize("route,text", MEMBER_ROUTES,
+                         ids=[r for r, _ in MEMBER_ROUTES])
+def test_member_output_independent_of_hash_seed(route, text):
+    """The element takes the route it is named for, and pinsep member
+    prints the same report for it under three hash seeds."""
+    K = towers.family("exe2").stage(3)
+    e = parse_element(K.ctx, text)
+    assert 0 < e.level <= K.level
+    off_support = to_vector(e, K.level, K._echelon.support) is None
+    assert (off_support, K.member(e)) == {
+        "support": (True, False), "eliminated": (False, False),
+        "member": (False, True)}[route]
+    outs = set()
+    for seed in ("0", "7", "999"):
+        proc = run_module("-m", "pinsep.cli", "--json", "member", text,
+                          "exe2:3", PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    out, = outs
+    assert json.loads(out)["verdict"] == (route == "member")
 
 
 def test_context_file_is_closed(config_path):

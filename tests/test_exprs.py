@@ -1,11 +1,14 @@
 """Element grammar: parsing, rendering, round-trip stability, errors."""
 
 import random
+from unittest import mock
 
 import pytest
 
-from pinsep.exprs import ExprError, parse_element, render_element
+from pinsep.exprs import (MAX_POWER_TERMS, ExprError, parse_element,
+                          render_element)
 from pinsep.perfect import CapExceeded, Context
+from pinsep.polynomials import MultiPoly
 
 from conftest import random_element
 
@@ -127,3 +130,34 @@ def test_roundtrip_is_bit_exact(ctx):
     again = parse_element(ctx, text)
     assert again == e
     assert render_element(again) == text
+
+
+@pytest.mark.parametrize("p,text,message", [
+    (2, "(X+Y)^131071", "power ^131071 at position 5: its 2-term numerator "
+     "may reach 2^17 terms"),
+    (2, "(X+Y)^-1073741823", "2-term numerator may reach 2^30 terms"),
+    (2, "(1/(X+Y+Z))^4095", "3-term denominator may reach 3^12 terms"),
+    (3, "(X+Y)^177146", "2-term numerator may reach 2^22 terms"),
+])
+def test_oversized_power_is_refused_before_any_product(p, text, message):
+    """A power whose numerator or denominator may pass MAX_POWER_TERMS
+    terms, len(f)^s for s the base-p digit sum of the exponent, raises
+    CapExceeded naming the power and the bound; no polynomial power
+    runs."""
+    ctx = Context(p, ("X", "Y", "Z"))
+    with mock.patch.object(MultiPoly, "__pow__",
+                           side_effect=AssertionError("power formed")):
+        with pytest.raises(CapExceeded, match=message.replace("^", r"\^")):
+            parse_element(ctx, text)
+
+
+def test_power_at_the_term_limit_parses():
+    """(X+Y)^65535 over p = 2 has every one of its 2^16 terms, and powers
+    whose digit sum is small parse however large they are."""
+    ctx = Context(2, ("X", "Y"))
+    assert len(parse_element(ctx, "(X+Y)^65535").body.num.terms) \
+        == MAX_POWER_TERMS
+    assert parse_element(ctx, "(X+Y)^1073741824") == parse_element(
+        ctx, "X^1073741824+Y^1073741824")
+    assert parse_element(ctx, "(X*Y)^1073741823").body.num.terms == {
+        (1073741823, 1073741823): 1}

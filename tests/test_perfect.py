@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pinsep.exprs import parse_element
 from pinsep.perfect import CapExceeded, Context, PerfElem
@@ -155,6 +155,44 @@ def test_frob_is_field_morphism(data):
     assert (a + b).frob(j) == a.frob(j) + b.frob(j)
     assert (a * b).frob(j) == a.frob(j) * b.frob(j)
     assert a.frob(j).frob(-j) == a
+
+
+@given(st.sampled_from([2, 3]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_frob_of_a_leveled_element_keeps_its_body(p, data):
+    """For an element of level >= 1, e.frob(j) is what the stripping
+    constructor makes of e's body at level - j, for every j in
+    [-2, level]: no level of it strips, and below level the body is
+    kept as it is.  Polynomial bodies and quotients
+    with real denominators are both drawn."""
+    ctx = Context(p, ("X", "Y"))
+    e = data.draw(st.one_of(elements(ctx), quotients(ctx)))
+    if e.level == 0:
+        e = e.frob(-1)
+    assume(e.level >= 1)        # a constant stays in k
+    for j in range(-2, e.level + 1):
+        f = e.frob(j)
+        ref = PerfElem(ctx, e.level - j, e.body)
+        assert (f.level, f.body) == (ref.level, ref.body)
+        if j < e.level:
+            assert f.body is e.body
+
+
+def test_frob_checks_the_cap_and_strips_level_zero_roots():
+    """A root of an element of level >= 1 still checks the cap, and a
+    root of a level-0 p-th power still strips: rt(X^2, 1) is X."""
+    tight = Context(2, ("X", "Y"), ambient_cap=2)
+    e = tight.variable("X").frob(-1) + tight.variable("Y")
+    assert e.frob(-1).level == 2
+    with pytest.raises(CapExceeded):
+        e.frob(-2)
+    with pytest.raises(CapExceeded):
+        e.frob(-1).frob(-1)
+    X = tight.variable("X")
+    assert (X * X).frob(-1) == X
+    assert (X * X).frob(-3) == X.frob(-2)
+    with pytest.raises(CapExceeded):
+        (X * X).frob(-4)
 
 
 @given(st.data())

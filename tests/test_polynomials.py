@@ -1,6 +1,10 @@
 """Exact arithmetic: sparse polynomials and rational functions over F_p."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +16,8 @@ from pinsep.polynomials import (MultiPoly, RatFunc, VariableCountMismatch,
                                 _shift_down, mp_exact_div, mp_gcd)
 
 from conftest import partial_derivative
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def poly(p, nvars, terms):
@@ -93,6 +99,48 @@ def test_frobenius_is_additive(data, p):
     b = data.draw(polys(p=p))
     assert (a + b) ** p == a ** p + b ** p
     assert (a + b) ** p == (a + b).scale_exponents(p)
+
+
+@given(st.data(), st.sampled_from([2, 3, 5]), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_exponent_maps_match_comprehensions(data, p, nvars):
+    """scale_exponents, exponents_divisible and divide_exponents agree
+    with comprehensions over every exponent, on random polynomials, the
+    zero polynomial among them, and on their exponents scaled by p."""
+    f = data.draw(polys(p=p, nvars=nvars, max_deg=2 * p))
+    for g in (f, f.scale_exponents(p)):
+        for k in (1, 2, p, p * p):
+            assert g.scale_exponents(k).terms == {
+                tuple(x * k for x in e): c for e, c in g.terms.items()}
+            divisible = all(x % k == 0 for e in g.terms for x in e)
+            assert g.exponents_divisible(k) == divisible
+            if divisible:
+                assert g.divide_exponents(k).terms == {
+                    tuple(x // k for x in e): c for e, c in g.terms.items()}
+            else:
+                with pytest.raises(ValueError):
+                    g.divide_exponents(k)
+
+
+def test_one_is_recognized_before_any_constant_of_its_variable_count():
+    """A 1 built through the constructor, in a fresh interpreter where no
+    constant with 7 variables was made before, is one and is constant;
+    the constants made afterwards agree."""
+    code = ("from pinsep.polynomials import MultiPoly\n"
+            "one = MultiPoly(2, 7, {(0,) * 7: 1})\n"
+            "two = MultiPoly(3, 7, {(0,) * 7: 2})\n"
+            "x = MultiPoly.variable(2, 7, 6)\n"
+            "print(one.is_one(), one.is_const(), two.is_one(),\n"
+            "      two.is_const(), x.is_one(), x.is_const(),\n"
+            "      one == MultiPoly.one(2, 7),\n"
+            "      MultiPoly.one(2, 7).is_one())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "True", "True", "False", "True", "False", "False", "True", "True"]
 
 
 def test_pow_matches_repeated_multiplication():

@@ -117,6 +117,35 @@ def test_to_vector_of_quotients(p, data):
                        for key, c in own.items()}
 
 
+@given(random_fields, st.data())
+@settings(max_examples=20, deadline=None)
+def test_to_vector_given_a_support_stops_exactly_off_it(K, data):
+    """to_vector(e, m, support) is None exactly when some key of
+    to_vector(e, m) lies outside support, and is that vector otherwise.
+    Elements: quotients with multi-term denominators among them, a
+    basis element of K and a generator; supports: K's own, the vector's
+    keys with and without its smallest one, none, and a random subset
+    of the keys joined with K's."""
+    ctx = K.ctx
+    elements = [data.draw(quotients(ctx)), data.draw(quotients(ctx)),
+                data.draw(st.sampled_from(K.basis_elements())),
+                data.draw(st.sampled_from(K.gens))]
+    for e in elements:
+        m = max(K.level, e.level)
+        full = to_vector(e, m)
+        keys = sorted(full)
+        subset = set(data.draw(st.lists(st.sampled_from(keys), unique=True))
+                     if keys else ())
+        supports = [K._echelon.support, set(keys), set(keys[1:]), set(),
+                    subset | K._echelon.support]
+        for support in supports:
+            got = to_vector(e, m, support)
+            if full.keys() <= support:
+                assert got == full
+            else:
+                assert got is None
+
+
 @given(st.sampled_from([2, 3]), st.data())
 @settings(max_examples=30, deadline=None)
 def test_vec_mul_of_quotients_is_vector_of_product(p, data):
@@ -566,14 +595,17 @@ def test_level_shortcuts_match_basis_routes(small_corpus):
 
 def test_support_rejects_without_elimination(ctx):
     """An element with a coordinate outside the support of K's span is
-    refused before any elimination: with Echelon.reduce made to raise,
-    it still gets False, while a member reaches reduce."""
+    refused before any elimination and before any coordinate is built:
+    with Echelon.reduce and MultiPoly.from_clean made to raise, it still
+    gets False, while a member reaches reduce."""
     K = section5_field(ctx)
     e = ctx.root_of_variable("Y", 2)
     assert not to_vector(e, K.level).keys() <= K._echelon.support
     with mock.patch.object(Echelon, "reduce",
                            side_effect=AssertionError("reduce ran")):
-        assert not K.member(e)
+        with mock.patch.object(MultiPoly, "from_clean",
+                               side_effect=AssertionError("built")):
+            assert not K.member(e)
         with pytest.raises(AssertionError, match="reduce ran"):
             K.member(ctx.root_of_variable("X", 2))
 
