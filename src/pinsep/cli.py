@@ -6,8 +6,9 @@ stdin).  A field name is a field of that document or a family stage
 Output is human-readable by default and a versioned JSON report with
 --json; identical invocations produce identical bytes.
 
-Exit codes: 0 success, 2 parse/usage errors, 3 ambient-cap errors,
-4 internal inconsistencies (bug witnesses, e.g. oracle disagreement).
+Exit codes: 0 success, 2 parse/usage errors, 3 cap errors (the ambient
+level, an oversized parsed expression), 4 internal inconsistencies (bug
+witnesses, e.g. oracle disagreement).
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from . import report as rpt
-from .exprs import ExprError, is_name, parse_element
-from .invariants import HorizonInsufficient, InternalInconsistency, \
-    di as inv_di
+from .exprs import is_name, parse_element
+from .invariants import InternalInconsistency, di as inv_di
 from .perfect import CapExceeded, Context
 from .subfields import Subfield
-from .towers import FAMILIES, NotConstructible, TowerFamily, family as make_family
+from .towers import FAMILIES, TowerFamily, family as make_family
 
 
 class ConfigError(ValueError):
@@ -392,14 +392,15 @@ def main(argv=None) -> int:
             cfg = load_config(text)
         args.fn(args, cfg)
     except CapExceeded as exc:
-        # CapExceeded subclasses ValueError; match it before the parse bundle
+        # CapExceeded subclasses ValueError, as do the parse errors
+        # (ExprError, ConfigError, NotConstructible, HorizonInsufficient)
+        # that exit 2 below; match it first
         print(f"error[cap]: {exc}", file=sys.stderr)
         return 3
     except InternalInconsistency as exc:
         print(f"error[internal-inconsistency]: {exc}", file=sys.stderr)
         return 4
-    except (ExprError, ConfigError, NotConstructible, HorizonInsufficient,
-            KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error[parse]: {exc}", file=sys.stderr)
         return 2
     return 0

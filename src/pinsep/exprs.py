@@ -10,8 +10,9 @@ Names refer to context variables or to named bindings; integer literals
 are reduced mod p; rt(e, j) denotes e^(1/p^j).  render_element produces a
 canonical string and parse(render(e)) == e holds bit-exactly.
 
-A power whose numerator or denominator could pass MAX_POWER_TERMS terms
-is refused with CapExceeded before any product is formed.
+A power, product, quotient or sum whose numerator or denominator could
+pass MAX_POWER_TERMS terms is refused with CapExceeded before it is
+formed.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from .perfect import CapExceeded, Context, PerfElem
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^,]))")
 
 MAX_POWER_TERMS = 2 ** 16
-"""The most terms the numerator or the denominator of a parsed power may
-be predicted to have: (X+Y)^65535 over p = 2, 65,536 terms, still parses."""
+"""The most terms the numerator or the denominator of a parsed power,
+product, quotient or sum may be predicted to have: (X+Y)^65535 over
+p = 2, 65,536 terms, still parses."""
 
 
 class ExprError(ValueError):
@@ -54,7 +56,14 @@ def tokenize(text: str):
             raise ExprError(f"unexpected character {stripped[0]!r}",
                             len(text) - len(stripped))
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            digits = m.group(1)
+            try:
+                value = int(digits)
+            except ValueError:
+                # the interpreter refuses to convert this many digits
+                raise ExprError(f"integer literal of {len(digits)} digits "
+                                f"is too long", m.start(1)) from None
+            tokens.append(("int", value, m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))
         else:
@@ -95,10 +104,11 @@ class _Parser:
     def expr(self):
         e = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
+                _check_size(e, val, rhs, pos)
                 e = e + rhs if val == "+" else e - rhs
             else:
                 return e
@@ -110,12 +120,10 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.take()
                 rhs = self.unary()
-                if val == "*":
-                    e = e * rhs
-                else:
-                    if rhs.is_zero():
-                        raise ExprError("division by zero", pos)
-                    e = e / rhs
+                if val == "/" and rhs.is_zero():
+                    raise ExprError("division by zero", pos)
+                _check_size(e, val, rhs, pos)
+                e = e * rhs if val == "*" else e / rhs
             else:
                 return e
 
@@ -193,6 +201,38 @@ def _check_power_size(e: PerfElem, n: int, pos: int):
             raise CapExceeded(
                 f"power ^{n} at position {pos}: its {t}-term {part} may "
                 f"reach {t}^{s} terms, more than the limit of "
+                f"{MAX_POWER_TERMS}")
+
+
+_OP_NAMES = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}
+
+
+def _check_size(a: PerfElem, op: str, b: PerfElem, pos: int):
+    """Refuse a op b when its numerator or denominator may pass
+    MAX_POWER_TERMS terms.  A product of polynomials has at most the
+    product of their term counts, so a*b has at most |num a|*|num b|
+    terms over |den a|*|den b|, and a/b is a times b's inverse, its
+    numerator and denominator swapped.  A sum over distinct denominators
+    is num a*den b + num b*den a over den a*den b; over one denominator d
+    it has at most |num a|+|num b| terms over |d|, the same count when d
+    is a monomial.  Moving both to their common level renames exponents
+    and keeps every count."""
+    na, da = len(a.body.num.terms), len(a.body.den.terms)
+    nb, db = len(b.body.num.terms), len(b.body.den.terms)
+    m = max(a.level, b.level)
+    if op == "/":
+        nb, db = db, nb
+    if op in "*/":
+        sizes = na * nb, da * db
+    elif da == db > 1 and a.body_at_level(m).den == b.body_at_level(m).den:
+        sizes = na + nb, da
+    else:
+        sizes = na * db + nb * da, da * db
+    for part, t in zip(("numerator", "denominator"), sizes):
+        if t > MAX_POWER_TERMS:
+            raise CapExceeded(
+                f"{_OP_NAMES[op]} {op!r} at position {pos}: its {part} "
+                f"may reach {t} terms, more than the limit of "
                 f"{MAX_POWER_TERMS}")
 
 

@@ -16,11 +16,13 @@ reduced basis of a subspace is canonical: it depends only on the
 spanned subspace, never on the order in which generating vectors were
 inserted.  Elimination against a row whose pivot entry is 1 runs no gcd.
 
-`kernel` reads every answer that needs some columns kept from pivoting:
-it tags the keys of one part of each inserted vector (0, k) and of the
-other (1, k), and tuples compare on their first element, so a row pivots
-in block 1 only when its block-0 part is gone.  Kernels, intersections
-and truncations call it; `solve` keeps its own augmented read.
+`kernel` reads every answer that needs some columns kept from pivoting,
+and is the only code that tags keys: one part of each inserted vector
+(0, k), the other (1, k).  Tuples compare on their first element, so a
+row pivots in block 1 only when its block-0 part is gone.  Kernels,
+intersections and truncations call it.  `solve` keeps its own augmented
+read: unknown j keyed by the int j, the right side by n, the number of
+unknowns.
 """
 
 from __future__ import annotations
@@ -240,27 +242,27 @@ def solve(columns, rhs, p, nvars):
     by a factor in k divides x_j by it and scaling rhs multiplies every
     x_j by it; neither changes consistency or uniqueness.
     """
-    # one equation per key: unknown j at (0, j), the right side at (1, 0);
-    # the row pivoted at (0, j) states x_j * row[(0, j)] = row[(1, 0)]
+    # one equation per key: unknown j keyed j, the right side n, after
+    # them all; the row pivoted at j states x_j * row[j] = row[n]
+    n = len(columns)
     eqs = {}
     for j, col in enumerate(columns):
         for key, c in col.items():
-            eqs.setdefault(key, {})[(0, j)] = c
+            eqs.setdefault(key, {})[j] = c
     for key, c in rhs.items():
-        eqs.setdefault(key, {})[(1, 0)] = c
+        eqs.setdefault(key, {})[n] = c
     ech = Echelon()
     for key in sorted(eqs):
         ech.insert(eqs[key])
-    if (1, 0) in ech.rows:
+    if n in ech.rows:
         raise InconsistentSystem("no solution")
-    if len(ech) < len(columns):
+    if len(ech) < n:
         raise ArithmeticError("solution is not unique")
-    zero = RatFunc.zero(p, nvars)
-    xs = [zero] * len(columns)
-    for (_, j), row in ech.rows.items():
-        z = row.get((1, 0))
+    xs = [RatFunc.zero(p, nvars)] * n
+    for j, row in ech.rows.items():
+        z = row.get(n)
         if z is not None:
-            xs[j] = RatFunc(z, row[(0, j)])
+            xs[j] = RatFunc(z, row[j])
     return xs
 
 

@@ -21,7 +21,8 @@ from .polynomials import SMALL_PRIMES, MultiPoly, RatFunc
 
 class CapExceeded(ValueError):
     """An operation would pass a fixed bound: the configured ambient level
-    cap, or the term limit of a parsed power (exprs.MAX_POWER_TERMS)."""
+    cap, or the term limit of a parsed power, product, quotient or sum
+    (exprs.MAX_POWER_TERMS)."""
 
 
 @dataclass(frozen=True)

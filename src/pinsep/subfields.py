@@ -156,16 +156,6 @@ def vec_mul(ctx: Context, m: int, a: dict, b: dict) -> dict:
     return out
 
 
-def _lift_vec(vec: dict, factor: int) -> dict:
-    """A level-m vector re-keyed at level m + j, with factor = p^j.
-
-    With factor 1 the vector itself is returned, not a copy; echelon rows
-    are never mutated once stored, so sharing them is safe."""
-    if factor == 1:
-        return vec
-    return {tuple([x * factor for x in ex]): c for ex, c in vec.items()}
-
-
 def _log_p(n: int, p: int) -> int:
     log = 0
     while n > 1:
@@ -270,11 +260,11 @@ class Subfield:
         The degree of K(e) is then [K : k] * p^r; the basis is built when
         it is first needed.  1, e, ..., e^(p^r - 1) is a K-basis of K(e),
         so the products b*e^l of the K-basis b with 0 <= l < p^r form a
-        k-basis.  The build seeds its echelon with K's reduced rows lifted
-        to K(e)'s level (layer l = 0): scaling every exponent by the same
-        power of p keeps lex order, so each row keeps its pivot and stays
-        reduced.  Layer l + 1 is the rows `insert` returned for layer l
-        times e, each inserted as it is made and checked to grow the span.
+        k-basis.  The build seeds its echelon with K's basis_vectors at
+        K(e)'s level (layer l = 0), keyed by their pivots, as they stay
+        reduced there.  Layer l + 1 is the rows `insert` returned for
+        layer l times e, each inserted as it is made and checked to grow
+        the span.
         The row returned for b*e^l is a nonzero k-multiple of b*e^l minus
         a vector of the span before it, so times e it is one of b*e^(l+1)
         minus a vector of the span before b's next insert: each insert
@@ -296,11 +286,8 @@ class Subfield:
         ctx.check_level(m)
 
         def build():
-            factor = ctx.p ** (m - self.level)
-            rows = {tuple([x * factor for x in piv]): _lift_vec(row, factor)
-                    for piv, row in sorted(self._echelon.rows.items())}
-            ech = Echelon.from_reduced(rows)
-            layer = list(rows.values())
+            layer = self.basis_vectors(m)
+            ech = Echelon.from_reduced({min(v): v for v in layer})
             gvec = to_vector(e, m)
             last = ctx.p ** r - 1
             for l in range(1, last + 1):
@@ -350,11 +337,20 @@ class Subfield:
         return self.ctx.p ** self.degree_log
 
     def basis_vectors(self, m=None):
+        """K's reduced basis rows in pivot order at level m (K's own by
+        default): the one upward re-keying of a stored basis.  Scaling
+        every exponent by one power of p keeps lex order, so each row keeps
+        its pivot and the rows stay reduced and canonical.  At K's level
+        the stored rows come back themselves, as they are never mutated."""
         m = self.level if m is None else m
         if m < self.level:
             raise ValueError("cannot present the basis below the working level")
+        rows = self._echelon.basis_rows()
+        if m == self.level:
+            return rows
         factor = self.ctx.p ** (m - self.level)
-        return [_lift_vec(r, factor) for r in self._echelon.basis_rows()]
+        return [{tuple([x * factor for x in ex]): c for ex, c in r.items()}
+                for r in rows]
 
     def basis_elements(self):
         return [from_vector(self.ctx, v, self.level)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from pinsep.linalg import Echelon
+from pinsep.linalg import Echelon, InconsistentSystem, kernel
 from pinsep.perfect import Context
 from pinsep.polynomials import MultiPoly, RatFunc, mp_exact_div, mp_gcd
 from pinsep.subfields import RBase, Subfield
@@ -234,6 +234,27 @@ class FractionEchelon:
                 self.rows[pk] = vec_add_scaled(row, r, -c)
         self.rows[piv] = r
         return True
+
+
+def solve_by_kernel(columns, rhs, p, nvars):
+    """Reference route for linalg.solve, through the transposed system:
+    the kernel of the pairs (columns[j], e_j) and (rhs, e_n), n the number
+    of unknowns, holds each c with sum c_j*columns[j] + c_n*rhs = 0.  rhs
+    lies in the columns' span iff some kernel row has c_n != 0, and the
+    solution is unique iff that row is the only one; then
+    x_j = -c_j/c_n.  Raises as solve does: InconsistentSystem when there
+    is no solution, else ArithmeticError when it is not unique."""
+    n = len(columns)
+    one = MultiPoly.one(p, nvars)
+    rows = kernel([(col, {j: one}) for j, col in enumerate(columns)]
+                  + [(rhs, {n: one})])
+    if not any(n in row for row in rows):
+        raise InconsistentSystem("no solution")
+    if len(rows) > 1:
+        raise ArithmeticError("solution is not unique")
+    row, = rows
+    return [RatFunc(-row[j], row[n]) if j in row else RatFunc.zero(p, nvars)
+            for j in range(n)]
 
 
 def echelon_of(vectors) -> Echelon:

@@ -771,6 +771,12 @@ MALFORMED = [
      + nested(3000, "", "[", "]") + "\n", ["invariants", "K"], 2, "parse"),
     ("huge-power", None, ["member", "(X+Y)^1073741823", "nonmodular_basic"],
      3, "cap"),
+    ("huge-product", None,
+     ["member", "(X+Y)^1023*(X+Z)^1023", "nonmodular_basic"], 3, "cap"),
+    ("huge-sum", None,
+     ["member", "1/(X+Y)^511+1/(X+Z)^511", "nonmodular_basic"], 3, "cap"),
+    ("long-literal", None, ["member", "X^" + "9" * 5000, "nonmodular_basic"],
+     2, "parse"),
 ]
 
 
@@ -780,7 +786,7 @@ MALFORMED = [
 def test_malformed_input_fails_fast(tmp_path, doc, argv, code, kind):
     """Each input ends within 30 s with its documented exit code, never 1
     (an uncaught exception); an error prints one error[kind] line and
-    nothing else."""
+    nothing else, in pinsep's own words rather than the interpreter's."""
     if doc is not None:
         path = tmp_path / "ctx.yaml"
         path.write_text(doc)
@@ -792,6 +798,7 @@ def test_malformed_input_fails_fast(tmp_path, doc, argv, code, kind):
     else:
         line, = proc.stderr.splitlines()
         assert line.startswith(f"error[{kind}]: ")
+        assert "set_int_max_str_digits" not in line
 
 
 @pytest.mark.parametrize("seed", ["0", "7", "999"])

@@ -1,6 +1,7 @@
 """Element grammar: parsing, rendering, round-trip stability, errors."""
 
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -161,3 +162,52 @@ def test_power_at_the_term_limit_parses():
         ctx, "X^1073741824+Y^1073741824")
     assert parse_element(ctx, "(X*Y)^1073741823").body.num.terms == {
         (1073741823, 1073741823): 1}
+
+
+@pytest.mark.parametrize("text,message", [
+    ("(X+Y)^1023*(X+Z)^1023",
+     "product '*' at position 10: its numerator may reach 1048576 terms"),
+    ("(X+Y)^1023/(1/(X+Z)^1023)",
+     "quotient '/' at position 10: its numerator may reach 1048576 terms"),
+    ("1/(X+Y)^511+1/(X+Z)^511",
+     "sum '+' at position 11: its denominator may reach 262144 terms"),
+    ("1/(X+Y)^511-rt(1/(X+Z)^511,1)",
+     "difference '-' at position 11: its denominator may reach 262144 "
+     "terms"),
+])
+def test_oversized_product_quotient_or_sum_is_refused(ctx, text, message,
+                                                     monkeypatch):
+    """A product, quotient or sum whose predicted numerator or
+    denominator passes MAX_POWER_TERMS terms raises CapExceeded naming
+    the operator, its position and the predicted size, before any
+    polynomial product that could pass the limit is formed."""
+    real = MultiPoly.__mul__
+
+    def bounded(f, g):
+        assert len(f.terms) * len(g.terms) <= MAX_POWER_TERMS, "formed"
+        return real(f, g)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", bounded)
+    with pytest.raises(CapExceeded, match=re.escape(message)):
+        parse_element(ctx, text)
+
+
+def test_sum_over_one_denominator_counts_the_numerators_only(ctx):
+    """Over one denominator, at the same level or not, a sum predicts
+    |num a| + |num b| terms, not the cross products of distinct
+    denominators, which here would pass the limit."""
+    den = "(X+Z)^511"
+    assert len(parse_element(ctx, den).body.num.terms) ** 2 > MAX_POWER_TERMS
+    assert parse_element(ctx, f"X/{den}+Y/{den}") == parse_element(
+        ctx, f"(X+Y)/{den}")
+    assert parse_element(ctx, f"rt(X,1)/{den}+Y/{den}") == parse_element(
+        ctx, f"(rt(X,1)+Y)/{den}")
+
+
+def test_overlong_integer_literal_is_a_parse_error(ctx):
+    """A literal with more digits than the interpreter converts gets the
+    parser's own message, with its position and digit count."""
+    with pytest.raises(ExprError, match=r"integer literal of 5000 digits "
+                       r"is too long \(at position 2\)") as info:
+        parse_element(ctx, "X^" + "9" * 5000)
+    assert "set_int_max_str_digits" not in str(info.value)

@@ -5,14 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pinsep import invariants as inv
 from pinsep.linalg import (Echelon, InconsistentSystem, intersect_spans,
                            kernel, nullspace, solve)
 from pinsep.polynomials import MultiPoly, RatFunc
-from pinsep.subfields import to_vector
+from pinsep.subfields import Subfield, to_vector
 
 from conftest import (FractionEchelon, assert_canonical, echelon_of, fractions,
-                      is_canonical, random_fields, rank, vec_add_scaled,
-                      vector)
+                      is_canonical, random_fields, rank, solve_by_kernel,
+                      vec_add_scaled, vector)
 
 
 def c(v, p=3, nv=1):
@@ -75,6 +76,69 @@ def test_solve_underdetermined_raises():
     with pytest.raises(ArithmeticError):
         solve([vector({0: c(1)}), vector({0: c(2)})], vector({0: c(1)}),
               3, 1)
+
+
+def solve_outcome(route, *args):
+    """The solution route(*args) returns, or the class of the
+    ArithmeticError it raises."""
+    try:
+        return route(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def test_solve_matches_the_transposed_kernel_on_random_systems():
+    """solve and the transposed-kernel reference agree, values and
+    exception classes, on random systems over F_2 and F_3: unique ones,
+    inconsistent ones and underdetermined ones."""
+    rng = random.Random(2718)
+    seen = {"unique": 0, InconsistentSystem: 0, ArithmeticError: 0}
+    for _ in range(160):
+        p, nv = rng.choice([2, 3]), rng.randint(1, 2)
+        n, neq = rng.randint(1, 4), rng.randint(1, 5)
+
+        def poly():
+            return MultiPoly(p, nv, {
+                tuple(rng.randint(0, 2) for _ in range(nv)):
+                rng.randint(1, p - 1) for _ in range(rng.randint(1, 3))})
+
+        cols = [{i: poly() for i in range(neq) if rng.random() < 0.7}
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            f = poly()
+            cols[-1] = {i: v * f for i, v in cols[0].items()}
+        if rng.random() < 0.5:
+            rhs = {i: poly() for i in range(neq) if rng.random() < 0.7}
+        else:
+            rhs = {}
+            for col in cols:
+                x = poly()
+                for i, v in col.items():
+                    rhs[i] = rhs[i] + v * x if i in rhs else v * x
+            rhs = {i: v for i, v in rhs.items() if not v.is_zero()}
+        want = solve_outcome(solve_by_kernel, cols, rhs, p, nv)
+        assert solve_outcome(solve, cols, rhs, p, nv) == want
+        seen["unique" if isinstance(want, list) else want] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_solve_matches_the_transposed_kernel_on_defining_equations(
+        small_corpus, monkeypatch):
+    """Every system the defining equations of the small corpus solve has
+    the same unique solution by the transposed-kernel reference."""
+    systems = []
+    real = inv.solve
+
+    def recording(*args):
+        systems.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(inv, "solve", recording)
+    for K in small_corpus:
+        inv.defining_equations(Subfield.span(K.ctx, K.gens))
+    assert max(len(columns) for columns, *_ in systems) > 1
+    for args in systems:
+        assert solve(*args) == solve_by_kernel(*args)
 
 
 def test_intersection_example():

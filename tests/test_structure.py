@@ -10,9 +10,13 @@ code that only the tests reach belongs with the tests.
 """
 
 import ast
+import importlib
+import importlib.util
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pinsep"
+LAYERTRACE = SRC.parent.parent / "perfbench" / "layertrace.py"
 
 
 def _private(name):
@@ -66,6 +70,39 @@ CALLED_FROM_OUTSIDE = {
     "nullspace": "perfbench/layertrace.py wraps linalg.nullspace by name",
     "is_monomial": "the mp_gcd hook of perfbench/layertrace.py calls it",
 }
+
+
+def load_layertrace():
+    """perfbench/layertrace.py as a module object, loaded by path and not
+    registered anywhere; loading it installs no tracer."""
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves():
+    """Each TARGETS entry of the benchmark's tracer resolves the way
+    Tracer.install resolves it, owner.__dict__[attr] after the dotted
+    path, in a module it imports; a renamed or moved function fails here
+    and not only in the traced benchmark run."""
+    layertrace = load_layertrace()
+    unresolved = []
+    for name, mod, path, _ in layertrace.TARGETS:
+        owner = importlib.import_module(f"pinsep.{mod}")
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if (mod not in layertrace.MODULES or owner is None
+                or attr not in owner.__dict__):
+            unresolved.append(name)
+    assert layertrace.TARGETS and unresolved == []
+
+
+def test_functions_kept_for_the_tracer_are_named_there():
+    text = LAYERTRACE.read_text()
+    assert [name for name in CALLED_FROM_OUTSIDE
+            if not re.search(rf"\b{name}\b", text)] == []
 
 
 def unreferenced_functions(sources):
