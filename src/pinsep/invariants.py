@@ -193,14 +193,19 @@ def _modular_by_criterion(K: Subfield):
     return True, None
 
 
+def frobenius_bounds(K: Subfield, n: int):
+    """(lifted, upper): log_p [k(K^(p^n)) : k] = log_p [A_n(K) : A_n] and
+    log_p [K : k(K^(p^(e-n)))], e = K.level.  A k_n-basis of K spans
+    A_n(K) over A_n = k^(1/p^n), and K ⊆ A_e gives k(K^(p^(e-n))) ⊆
+    K ∩ A_n = k_n, so lifted <= log_p [K : k_n] <= upper."""
+    lifted = K.degree_log_over_lifted_base(n)
+    return lifted, K.degree_log - K.frobenius_image(K.level - n).degree_log
+
+
 def _modular_by_disjointness(K: Subfield):
     for n in range(1, K.level + 1):
-        lifted = K.degree_log_over_lifted_base(n)
-        # K ⊆ A_e with e = K.level, so k(K^(p^(e-n))) ⊆ K ∩ A_n = k_n;
-        # and a k_n-basis of K spans k^(1/p^n)(K) over k^(1/p^n).  Hence
-        # lifted <= log_p [K : k_n] <= upper, and equal bounds settle n.
-        upper = K.degree_log - K.frobenius_image(K.level - n).degree_log
-        if upper == lifted:
+        lifted, upper = frobenius_bounds(K, n)
+        if upper == lifted:     # equal bounds settle n
             continue
         relative = K.degree_log - K.truncation(n).degree_log
         if lifted != relative:

@@ -27,7 +27,7 @@ unknowns.
 
 from __future__ import annotations
 
-from .polynomials import MultiPoly, RatFunc, mp_exact_div, mp_gcd
+from .polynomials import MultiPoly, RatFunc, mp_content, mp_exact_div, mp_gcd
 
 
 class InconsistentSystem(ArithmeticError):
@@ -80,11 +80,7 @@ def _canonical(v: dict, piv, bound=None) -> dict:
     out = v
     g = lead if bound is None else bound
     if not g.is_const():
-        for val in v.values():
-            if val is not lead:
-                g = mp_gcd(g, val)
-                if g.is_one():
-                    break
+        g = mp_content((val for val in v.values() if val is not lead), g)
         if not g.is_one():
             out = {k: mp_exact_div(val, g) for k, val in v.items()}
             lead = out[piv]

@@ -188,9 +188,6 @@ class PerfElem:
     def is_zero(self):
         return self.body.is_zero()
 
-    def is_one(self):
-        return self.level == 0 and self.body.is_one()
-
     # -- comparison / rendering ------------------------------------------
 
     def __eq__(self, other):

@@ -345,10 +345,11 @@ def mp_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def _monomial_content(f: MultiPoly) -> tuple:
-    mins = None
-    for e in f.terms:
-        mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-    return mins or (0,) * f.nvars
+    terms = iter(f.terms)
+    mins = next(terms, _ZERO_EXPS[f.nvars])
+    for e in terms:
+        mins = tuple(map(min, mins, e))
+    return mins
 
 
 def _shift_down(f: MultiPoly, mono: tuple) -> MultiPoly:
@@ -404,14 +405,16 @@ def _uni_prem(a, b):
     return a
 
 
-def _uni_content(a):
-    g = None
-    for c in a:
+def mp_content(polys, g=None):
+    """A gcd of g and the nonzero polys up to a unit, folded left to right
+    from g (or the first nonzero entry) and stopped at 1; an entry or g
+    comes back as given when no gcd runs, None when nothing is folded."""
+    for c in polys:
         if c.is_zero():
             continue
         g = c if g is None else mp_gcd(g, c)
         if g.is_one():
-            return g
+            break
     return g
 
 
@@ -433,14 +436,13 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _make_monic(f)
     if len(f.terms) == 1:
         f, g = g, f
-    if len(g.terms) == 1:
-        common, = g.terms
-        for e in f.terms:
-            common = tuple(map(min, common, e))
-        return MultiPoly.from_clean(f.p, f.nvars, {common: 1})
     mono_f = _monomial_content(f)
+    if len(g.terms) == 1:
+        e, = g.terms
+        common = tuple(map(min, mono_f, e))
+        return MultiPoly.from_clean(f.p, f.nvars, {common: 1})
     mono_g = _monomial_content(g)
-    common = tuple(min(a, b) for a, b in zip(mono_f, mono_g))
+    common = tuple(map(min, mono_f, mono_g))
     f = _shift_down(f, mono_f)
     g = _shift_down(g, mono_g)
     core = _gcd_core(f, g)
@@ -457,13 +459,13 @@ def _gcd_core(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             key=lambda v: (max(f.degree_in(v), g.degree_in(v)), -v))
     uf = _to_univariate(f, i)
     ug = _to_univariate(g, i)
-    cont_f = _uni_content(uf)
-    cont_g = _uni_content(ug)
+    cont_f = mp_content(uf)
+    cont_g = mp_content(ug)
     pf = [mp_exact_div(c, cont_f) for c in uf]
     pg = [mp_exact_div(c, cont_g) for c in ug]
     cont = _gcd_core(cont_f, cont_g)
     prim = _prs(pf, pg, p, nv)
-    prim_content = _uni_content(prim)
+    prim_content = mp_content(prim)
     prim = [mp_exact_div(c, prim_content) for c in prim]
     return cont * _from_univariate(prim, i, p, nv)
 
@@ -559,20 +561,14 @@ class RatFunc:
             return self
         if self.den.is_one() and other.den.is_one():
             return RatFunc.of_poly(self.num + other.num)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
         # these sums come from element arithmetic (parsing, family
         # generators) and the tests' FractionEchelon reference, not from
-        # elimination, whose vectors hold polynomials; their
-        # denominators often share factors.  Splitting the shared part off
-        # first keeps the gcds small, and the residual common factor of
-        # the sum can only divide the shared part; a sum of zero would need
-        # da = db = 1, the equal-denominator case, and den, built from
-        # monic factors and quotients, stays monic
+        # elimination.  With g = gcd(den a, den b), da and db are coprime,
+        # and a prime dividing da and num a * db + num b * da would divide
+        # num a, against a being reduced; so only gcd(num, g) cancels.
+        # Equal denominators are g = den (a zero sum comes out as 0/1),
+        # coprime ones g = 1; den, from monic factors, stays monic
         g = mp_gcd(self.den, other.den)
-        if g.is_one():
-            return RatFunc(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
         da = mp_exact_div(self.den, g)
         db = mp_exact_div(other.den, g)
         num = self.num * db + other.num * da
@@ -613,7 +609,11 @@ class RatFunc:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
+        # den/num is reduced already; only its denominator must be monic
+        _, lc = self.num.leading()
+        inv = pow(lc, self.p - 2, self.p)
+        return RatFunc(self.den.scale(inv), self.num.scale(inv),
+                       _normalized=True)
 
     def __truediv__(self, other):
         return self * other.inverse()

@@ -98,9 +98,8 @@ def oracle_checks(K: Subfield) -> dict:
             f"exponent computations disagree: greedy {greedy}, by-di {by_di}")
     inv.rbase_extract(K)
     for n in range(1, K.level):
-        lifted = K.degree_log_over_lifted_base(n)
+        lifted, upper = inv.frobenius_bounds(K, n)
         relative = K.degree_log - K.truncation(n).degree_log
-        upper = K.degree_log - K.frobenius_image(K.level - n).degree_log
         if not lifted <= relative <= upper:
             raise inv.InternalInconsistency(
                 f"[K : k_{n}] = p^{relative} outside its Frobenius bounds "
@@ -278,13 +277,11 @@ def to_text(rep: dict) -> str:
                      f"over K ∩ L: {rep['linearly_disjoint']}")
     elif kind == "member":
         lines.append(f"{rep['element']} in {rep['field']}: {rep['verdict']}")
-    elif kind == "claims":
+    else:  # claims
         name = rep["family"]["name"]
         for c in rep["claims"]:
             tag = "PASS" if c["passed"] else "FAIL"
             surrogate = " [surrogate]" if c["surrogate"] else ""
             lines.append(f"{tag} {name}.{c['id']}{surrogate}: "
                          f"{c['description']}")
-    else:
-        lines.append(json.dumps(rep, indent=2))
     return "\n".join(lines)

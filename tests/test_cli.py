@@ -512,6 +512,18 @@ def test_family_claims_command():
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_config_family_has_no_claims(config_path):
+    """A family defined in the context document documents no claims: the
+    report lists none, the text report is one empty line, and the run
+    exits 0."""
+    rc, out, err = run_cli("--context", config_path, "--json", "family",
+                           "diag", "claims")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["claims"] == []
+    assert run_cli("--context", config_path, "family", "diag",
+                   "claims") == (0, "\n", "")
+
+
 def test_family_invariants_command():
     rc, out, _ = run_cli("--json", "family", "modular_diag", "invariants",
                          "--params", "t=2,m=2")

@@ -37,7 +37,7 @@ def test_parse_cancellation(ctx):
 
 
 def test_integer_literals_reduced_mod_p(ctx):
-    assert parse_element(ctx, "3").is_one()
+    assert parse_element(ctx, "3") == ctx.one()
     assert parse_element(ctx, "2").is_zero()
 
 
@@ -53,7 +53,7 @@ def test_precedence_and_parens(ctx):
 
 def test_negative_power_and_division(ctx):
     assert parse_element(ctx, "X^-1") == ctx.one() / ctx.variable("X")
-    assert parse_element(ctx, "(X+Y)/(X+Y)").is_one()
+    assert parse_element(ctx, "(X+Y)/(X+Y)") == ctx.one()
 
 
 def test_unary_minus():
@@ -92,8 +92,9 @@ def test_cap_error_propagates():
 def test_root_of_a_constant_lies_in_k(ctx):
     """A constant lies in k at level 0, whatever root of it is taken; no
     level is stripped one at a time."""
-    one = parse_element(Context(3, ("X", "Y")), "rt(1,99999999)")
-    assert one.is_one() and one.level == 0
+    ctx3 = Context(3, ("X", "Y"))
+    one = parse_element(ctx3, "rt(1,99999999)")
+    assert one == ctx3.one() and one.level == 0
     zero = parse_element(ctx, "rt(2*X^0,40000000)")
     assert zero.is_zero() and zero.level == 0
 

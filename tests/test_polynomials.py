@@ -4,18 +4,21 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pinsep.exprs import render_element
 from pinsep.perfect import Context, PerfElem
 from pinsep.polynomials import (MultiPoly, RatFunc, VariableCountMismatch,
                                 _gcd_core, _make_monic, _monomial_content,
-                                _shift_down, mp_exact_div, mp_gcd)
+                                _shift_down, mp_content, mp_exact_div,
+                                mp_gcd)
 
-from conftest import partial_derivative
+from conftest import partial_derivative, quotients
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -490,3 +493,103 @@ def test_normalization_idempotent():
     r = RatFunc(x * y + x, y * y + y)
     again = RatFunc(r.num, r.den)
     assert r == again
+
+
+# ----------------------------------------------------------------------
+# The fraction routes against the normalizing constructor
+# ----------------------------------------------------------------------
+
+QUOTIENT_CONTEXTS = {2: Context(2, ("X", "Y", "Z")), 3: Context(3, ("X", "Y"))}
+
+
+def draw_bodies(data, p, count):
+    """Bodies of random quotients (conftest.quotients): reduced fractions
+    whose denominators often have several terms."""
+    ctx = QUOTIENT_CONTEXTS[p]
+    return [data.draw(quotients(ctx)).body for _ in range(count)]
+
+
+@given(st.data(), st.sampled_from([2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_rat_sum_matches_normalizing_constructor(data, p):
+    """a + b over coprime, equal and shared-factor denominators is the
+    fraction RatFunc builds from num a * den b + num b * den a over
+    den a * den b, by its own gcd."""
+    x, y = draw_bodies(data, p, 2)
+    d = x.den
+    t = MultiPoly.variable(p, d.nvars, 0)
+    partners = {
+        # any common factor of d and d*t + 1 divides 1
+        "coprime": RatFunc(y.num, d * t + MultiPoly.one(p, d.nvars)),
+        # gcd(num x + num y * d, d) = gcd(num x, d) = 1
+        "equal": RatFunc(x.num + y.num * d, d),
+        "shared": RatFunc(y.num, d * y.den),
+    }
+    assert mp_gcd(d, partners["coprime"].den).is_one()
+    assert partners["equal"].den == d or partners["equal"].is_zero()
+    for b in [x, y, *partners.values()]:
+        expected = RatFunc(x.num * b.den + b.num * x.den, x.den * b.den)
+        assert x + b == expected
+        assert b + x == expected
+
+
+@given(st.data(), st.sampled_from([2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_rat_inverse_matches_normalizing_constructor_without_a_gcd(data, p):
+    x, = draw_bodies(data, p, 1)
+    assume(not x.is_zero())
+    with mock.patch("pinsep.polynomials.mp_gcd",
+                    side_effect=AssertionError("inverse ran a gcd")):
+        got = x.inverse()
+    assert got == RatFunc(x.den, x.num)
+    assert got.inverse() == x
+
+
+@given(st.data(), st.sampled_from([2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_rat_sum_with_negative_is_zero_over_one(data, p):
+    """A zero sum comes out as 0/1 over a multi-term denominator too,
+    where the shared-factor route cancels the whole denominator."""
+    x, = draw_bodies(data, p, 1)
+    assume(len(x.den.terms) > 1)
+    for s in (x + (-x), (-x) + x, x - x):
+        assert s.num.is_zero() and s.den.is_one()
+        assert s == RatFunc.zero(p, x.nvars)
+
+
+@given(st.data(), st.sampled_from([2, 3]),
+       st.sampled_from(["none", "const", "poly"]))
+@settings(max_examples=100, deadline=None)
+def test_content_matches_pairwise_gcd_fold(data, p, start):
+    """mp_content is the pairwise mp_gcd fold up to a unit, zeros, an
+    all-zero or empty list and a constant start included; with no start
+    and nothing nonzero to fold it answers None."""
+    factor = data.draw(polys(p=p, max_deg=2, max_terms=2))
+    if factor.is_zero():
+        factor = MultiPoly.one(p, 2)
+    entries = [factor * f for f in data.draw(
+        st.lists(polys(p=p, max_deg=2, max_terms=3), max_size=4))]
+    g = {"none": None,
+         "const": MultiPoly.const(p, 2, data.draw(st.integers(1, p - 1))),
+         "poly": factor * data.draw(polys(p=p, max_deg=2, max_terms=3))}[start]
+    if g is not None and g.is_zero():
+        g = None
+    got = mp_content(entries, g)
+    fold = reduce(mp_gcd, entries, MultiPoly.zero(p, 2) if g is None else g)
+    if got is None:
+        assert g is None and fold.is_zero()
+    else:
+        assert _make_monic(got) == _make_monic(fold)
+
+
+def test_content_edge_cases_and_early_stop():
+    x, y = var(3, 2, 0), var(3, 2, 1)
+    one, zero = MultiPoly.one(3, 2), MultiPoly.zero(3, 2)
+    assert mp_content([]) is None
+    assert mp_content([zero, zero]) is None
+    # with no gcd run, the one entry comes back as given, not monic
+    assert mp_content([zero, (x + y).scale(2)]) == (x + y).scale(2)
+    # the fold stops at 1: the third entry is never read
+    with mock.patch("pinsep.polynomials.mp_gcd", wraps=mp_gcd) as gcd:
+        assert mp_content([x + one, y + one, x * y]).is_one()
+    assert gcd.call_count == 1
