@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 from .linalg import InconsistentSystem, solve
 from .perfect import PerfElem
-from .polynomials import RatFunc
-from .subfields import InternalInconsistency, RBase, Subfield, to_vector
+from .polynomials import MultiPoly, RatFunc
+from .subfields import (InternalInconsistency, RBase, Subfield, to_vector,
+                        vec_mul)
 
 
 # ----------------------------------------------------------------------
@@ -85,11 +86,26 @@ def exponents_by_di(K: Subfield, s: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def _lambda_exponents(exponents, j, p):
-    """The exponent box for the j-th defining equation (1-based, j >= 2)."""
-    ranges = [range(p ** (exponents[t] - exponents[j - 1]))
-              for t in range(j - 1)]
-    return [tuple(eps) for eps in itertools.product(*ranges)]
+def _box_columns(ctx, level, powers, sizes):
+    """(vector, D) for each w_eps = prod powers[t]^eps_t, eps in the box
+    {0 <= eps_t < sizes[t]} in itertools.product order: the vec_mul
+    product of the powers' level-`level` vectors, so the coordinates of
+    D*w_eps with D = prod d_t^eps_t, d_t the denominator of powers[t]
+    read in x (to_vector's scale)."""
+    one = MultiPoly.one(ctx.p, ctx.nvars)
+    unit = {(0,) * ctx.nvars: one}
+    cols = [(unit, one)]
+    for a, size in zip(powers, sizes):
+        if size == 1:       # eps_t = 0 only
+            continue
+        v, d = to_vector(a, level), a.body.den
+        steps = [(unit, one)]
+        for _ in range(1, size):
+            w, dw = steps[-1]
+            steps.append((vec_mul(ctx, level, w, v), dw * d))
+        cols = [(vec_mul(ctx, level, w, s), dw * ds)
+                for w, dw in cols for s, ds in steps]
+    return cols
 
 
 def defining_equations(K: Subfield) -> dict:
@@ -99,10 +115,11 @@ def defining_equations(K: Subfield) -> dict:
     w_eps runs over the monomials (alpha_1, ..., alpha_{j-1})^(p^m_j * eps)
     with eps in the box {0 <= eps_t < p^(m_t - m_j)}; the coefficients are
     the unique elements of k expressing the relation, solved exactly, and
-    are returned as level-0 PerfElem.  to_vector gives the coordinates of
-    d_w*w_eps and d*alpha_j^(p^m_j), with d_w and d their own
-    denominators read in x, whatever the level of the solve, so the
-    solve finds C*d/d_w, and each C is that times d_w/d.  They are
+    are returned as level-0 PerfElem.  The columns are the vec_mul
+    products of the powers' vectors at the solve level, the coordinates
+    of D*w_eps with D the product of the powers' denominators read in x;
+    to_vector gives those of d*alpha_j^(p^m_j), d its own denominator.
+    So the solve finds C*d/D, and each C is that times D/d.  They are
     solved once per field and kept on K (the modularity criterion and
     the r-base report both ask), so the returned dict is shared and
     must not be changed.
@@ -110,35 +127,29 @@ def defining_equations(K: Subfield) -> dict:
 
     def solve_all():
         B = K.greedy_rbase()
-        p = K.ctx.p
+        ctx = K.ctx
+        p = ctx.p
         out = {}
         for j in range(2, len(B) + 1):
             m_j = B.exponents[j - 1]
-            powers = [B.elements[t].frob(m_j) for t in range(j - 1)]
+            sizes = [p ** (o - m_j) for o in B.exponents[:j - 1]]
+            powers = [a.frob(m_j) for a in B.elements[:j - 1]]
             rhs_elem = B.elements[j - 1].frob(m_j)
-            monomials = []
-            box = _lambda_exponents(B.exponents, j, p)
-            for eps in box:
-                w = K.ctx.one()
-                for t, e_t in enumerate(eps):
-                    if e_t:
-                        w = w * powers[t] ** e_t
-                monomials.append(w)
-            level = max([w.level for w in monomials] + [rhs_elem.level])
-            cols = [to_vector(w, level) for w in monomials]
+            level = max(a.level for a in [*powers, rhs_elem])
+            cols = _box_columns(ctx, level, powers, sizes)
             rhs = to_vector(rhs_elem, level)
             try:
-                coeffs = solve(cols, rhs, p, K.ctx.nvars)
+                coeffs = solve([v for v, _ in cols], rhs, p, ctx.nvars)
             except (InconsistentSystem, ArithmeticError) as exc:
                 raise InternalInconsistency(
                     f"defining equation {j} has no unique solution: "
                     f"{exc}") from exc
             d = rhs_elem.body.den
-            for eps, w, c in zip(box, monomials, coeffs):
-                d_w = w.body.den
-                if d_w != d:
-                    c = RatFunc(c.num * d_w, c.den * d)
-                out[(j, eps)] = PerfElem(K.ctx, 0, c)
+            box = itertools.product(*map(range, sizes))
+            for eps, (_, D), c in zip(box, cols, coeffs):
+                if D != d:
+                    c = RatFunc(c.num * D, c.den * d)
+                out[(j, eps)] = PerfElem(ctx, 0, c)
         return out
 
     return K.memo("defining_equations", solve_all)

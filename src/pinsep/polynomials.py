@@ -322,6 +322,8 @@ def mp_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return MultiPoly.from_clean(p, f.nvars, terms)
     if not g.terms:
         raise ZeroDivisionError("polynomial division by zero")
+    if g.terms == f.terms:  # a sum over equal denominators: den / den
+        return MultiPoly.one(p, f.nvars)
     ge, gc = g.leading()
     inv = pow(gc, p - 2, p)
     tail = [(e, c) for e, c in g.terms.items() if e != ge]

@@ -132,15 +132,18 @@ def from_vector(ctx: Context, vec: dict, m: int) -> PerfElem:
 
 def vec_mul(ctx: Context, m: int, a: dict, b: dict) -> dict:
     """Product of two level-m vectors; t-exponent overflow moves into k
-    as a monomial factor of the entry.  Nothing is reduced."""
+    as a monomial factor of the entry.  Nothing is reduced.  An entry
+    product with a factor 1, as at every pivot of a canonical row, is
+    the other factor itself, with no polynomial product."""
     q = ctx.p ** m
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
     for e, c in a.items():
+        c_one = c.is_one()
         for f, d in b.items():
             rem = tuple(map(add, e, f))
-            coeff = c * d
+            coeff = d if c_one else c if d.is_one() else c * d
             if max(rem) >= q:
                 coeff = coeff.mul_monomial(tuple([x // q for x in rem]))
                 rem = tuple([x % q for x in rem])
@@ -209,16 +212,33 @@ class Subfield:
     def span(cls, ctx: Context, gens) -> "Subfield":
         """k(g_1, ..., g_r), adjoining the generators in greedy order.
 
+        It is the last field of the greedy chain over the generators,
+        which nothing else holds yet; the chain's RBase is its
+        greedy_rbase(), and its gens are the tuple given.
+        """
+        gens = tuple(gens)
+        field, rbase = cls._greedy_chain(ctx, gens)
+        field.gens = gens
+        field.memo("greedy_rbase", lambda: rbase)
+        return field
+
+    @classmethod
+    def _greedy_chain(cls, ctx: Context, gens, degree_log=None):
+        """(F, RBase): the chain from k over gens in greedy order and the
+        rounds' generators and exponents.
+
         Each round adjoins to the current field F a generator g of maximal
         o(g/F), the first by index.  o(g/F) only falls as F grows, so one
-        with o(g/F) = 0 is dropped for good.  The rounds' generators and
-        exponents are the result's greedy_rbase(), whose exponents are
-        checked here to be non-increasing; its gens are the tuple given.
-        It is the chain's last field, which nothing else holds yet.
+        with o(g/F) = 0 is dropped for good.  The rounds stop when every
+        generator left scores 0, or, for a caller that knows the degree
+        p^degree_log of the field the gens generate, once F has it: F is
+        then that field, every later round would score 0, and F's basis
+        is not built to score them.  The exponents are checked here to be
+        non-increasing.
         """
         field, elements, exponents = cls.base(ctx), [], []
-        gens = remaining = tuple(gens)
-        while remaining:
+        remaining = tuple(gens)
+        while remaining and field.degree_log != degree_log:
             scored = [(field.rel_exponent(g), g) for g in remaining]
             o, g = max(scored, key=lambda s: s[0])
             if not o:
@@ -229,10 +249,7 @@ class Subfield:
             remaining = [h for r, h in scored if r and h is not g]
         if any(a < b for a, b in zip(exponents, exponents[1:])):
             raise InternalInconsistency("canonical exponent list increased")
-        field.gens = gens
-        field.memo("greedy_rbase",
-                   lambda: RBase(tuple(elements), tuple(exponents)))
-        return field
+        return field, RBase(tuple(elements), tuple(exponents))
 
     def adjoin(self, e: PerfElem) -> "Subfield":
         """K(e) by the tower law [K(e) : K] = p^r with r = o(e/K)."""
@@ -241,15 +258,17 @@ class Subfield:
     def greedy_rbase(self) -> RBase:
         """The one r-base kept on K: the greedy rounds' generators and
         exponents.  A span and a Frobenius image carry theirs; any other
-        field (a truncation, an intersection, K.adjoin(e)) spans its
-        generators once and keeps that span's."""
+        field (a truncation, an intersection, K.adjoin(e)) runs the greedy
+        chain over its generators once, up to its own known degree, and
+        keeps that chain's."""
 
         def respan():
-            field = Subfield.span(self.ctx, self.gens)
+            field, rbase = Subfield._greedy_chain(self.ctx, self.gens,
+                                                  self.degree_log)
             if field.degree_log != self.degree_log:
                 raise InternalInconsistency(
                     "K and the span of its generators differ in degree")
-            return field.greedy_rbase()
+            return rbase
 
         return self.memo("greedy_rbase", respan)
 
@@ -451,25 +470,35 @@ class Subfield:
         Each row of K's reduced basis is 1 at its own pivot and 0 at the
         other rows' pivots, so an element of K ∩ A_n, being 0 at every
         pivot outside A_n, is a combination of the rows pivoted inside
-        A_n.  k_n is the kernel of the pairs (part outside A_n, part
-        inside A_n) of those rows.
+        A_n.  Such a row that lies wholly inside A_n is a row of k_n as it
+        is.  The rest of k_n is the kernel of the pairs (part outside A_n,
+        part inside A_n) of the rows that cross A_n, handed to `kernel`
+        one at a time: its rows pivot at the crossing rows' pivots and
+        are 0 at the other rows' pivots, so with the direct rows they are
+        the canonical reduced basis of k_n.
         """
         if n < 0:
             raise ValueError("truncation level must be nonnegative")
         if n >= self.level:
             return self
         off = (self.ctx.p ** (self.level - n)).__rmod__
+        rows = self._echelon.rows
+        direct = []
 
-        def split(row):
-            parts = {}, {}
-            for e, c in row.items():
-                parts[not any(map(off, e))][e] = c
-            return parts
+        def crossing():
+            for piv in sorted(rows):
+                if any(map(off, piv)):
+                    continue
+                parts = {}, {}
+                for e, c in rows[piv].items():
+                    parts[not any(map(off, e))][e] = c
+                if parts[0]:
+                    yield parts
+                else:
+                    direct.append(rows[piv])
 
-        rows = sorted(self._echelon.rows.items())
-        vecs = kernel(split(row) for piv, row in rows
-                      if not any(map(off, piv)))
-        field = Subfield._from_vectors(self.ctx, self.level, vecs)
+        vecs = kernel(crossing())
+        field = Subfield._from_vectors(self.ctx, self.level, vecs + direct)
         if field.level > n:
             raise InternalInconsistency("truncation left elements above the cut")
         return field

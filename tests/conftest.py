@@ -1,14 +1,16 @@
 """Shared fixtures: deterministic randomized field corpus and helpers."""
 
+import itertools
 import random
+from operator import add
 
 import pytest
 from hypothesis import strategies as st
 
-from pinsep.linalg import Echelon, InconsistentSystem, kernel
-from pinsep.perfect import Context
+from pinsep.linalg import Echelon, InconsistentSystem, kernel, solve
+from pinsep.perfect import Context, PerfElem
 from pinsep.polynomials import MultiPoly, RatFunc, mp_exact_div, mp_gcd
-from pinsep.subfields import RBase, Subfield
+from pinsep.subfields import RBase, Subfield, to_vector
 
 VAR_NAMES = ("X", "Y", "Z")
 
@@ -145,6 +147,81 @@ def frobenius_image_by_span(K, j):
     generators: the reference route for Subfield.frobenius_image, which
     reads the image off K's greedy r-base."""
     return Subfield.span(K.ctx, [g.frob(j) for g in K.gens])
+
+
+def greedy_rbase_by_span(K):
+    """The greedy r-base of a full span of K's generators, every round run
+    until all generators left score 0: the reference for the re-span of
+    Subfield.greedy_rbase, which stops at K's known degree."""
+    return Subfield.span(K.ctx, K.gens).greedy_rbase()
+
+
+def truncation_by_kernel(K, n):
+    """The reduced basis rows of k_n = K ∩ A_n at K's level, in pivot
+    order: the kernel of the pairs (part outside A_n, part inside A_n) of
+    every row of K pivoted inside A_n, rows wholly inside A_n included.
+    The reference for Subfield.truncation, which keeps those rows as they
+    are and hands `kernel` only the rows that cross A_n."""
+    step = K.ctx.p ** (K.level - n)
+    inside = lambda e: not any(x % step for x in e)
+    pairs = []
+    for piv, row in sorted(K._echelon.rows.items()):
+        if inside(piv):
+            pairs.append(({e: c for e, c in row.items() if not inside(e)},
+                          {e: c for e, c in row.items() if inside(e)}))
+    return kernel(pairs)
+
+
+def vec_mul_by_products(ctx, m, a, b):
+    """Product of two level-m vectors with every entry product formed by
+    MultiPoly.__mul__: the reference for subfields.vec_mul, which takes
+    the other factor itself where one entry is 1."""
+    q = ctx.p ** m
+    out: dict = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            rem = tuple(map(add, e, f))
+            coeff = c * d
+            if max(rem) >= q:
+                coeff = coeff.mul_monomial(tuple([x // q for x in rem]))
+                rem = tuple([x % q for x in rem])
+            s = out[rem] + coeff if rem in out else coeff
+            if s.terms:
+                out[rem] = s
+            else:
+                del out[rem]
+    return out
+
+
+def defining_equations_by_products(K):
+    """The coefficients of invariants.defining_equations by PerfElem
+    arithmetic: each w_eps a product of PerfElem powers, embedded afresh
+    by to_vector at the highest level of the w_eps and the right side;
+    the solve finds C*d/d_w, d_w and d the denominators of w_eps and
+    alpha_j^(p^m_j), so each C is that times d_w/d."""
+    B = K.greedy_rbase()
+    ctx, p = K.ctx, K.ctx.p
+    out = {}
+    for j in range(2, len(B) + 1):
+        m_j = B.exponents[j - 1]
+        powers = [B.elements[t].frob(m_j) for t in range(j - 1)]
+        rhs_elem = B.elements[j - 1].frob(m_j)
+        box = list(itertools.product(
+            *(range(p ** (o - m_j)) for o in B.exponents[:j - 1])))
+        monomials = []
+        for eps in box:
+            w = ctx.one()
+            for a, e_t in zip(powers, eps):
+                w = w * a ** e_t
+            monomials.append(w)
+        level = max([w.level for w in monomials] + [rhs_elem.level])
+        coeffs = solve([to_vector(w, level) for w in monomials],
+                       to_vector(rhs_elem, level), p, ctx.nvars)
+        d = rhs_elem.body.den
+        for eps, w, c in zip(box, monomials, coeffs):
+            out[(j, eps)] = PerfElem(
+                ctx, 0, RatFunc(c.num * w.body.den, c.den * d))
+    return out
 
 
 def greedy_exponents_over(K, L):

@@ -2,20 +2,22 @@
 modularity, equiexponentiality, rp chains, U-tables, parity lengths."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from pinsep import invariants as inv, report, subfields
+from pinsep.cli import load_config
 from pinsep.exprs import parse_element
 from pinsep.linalg import Echelon
-from pinsep.perfect import Context
+from pinsep.perfect import Context, PerfElem
 from pinsep.subfields import InternalInconsistency, RBase, Subfield
 from pinsep.towers import family
 
-from conftest import (fields_equal, greedy_exponents_over, greedy_rbase_over,
-                      perfect_lift, random_element, random_field,
-                      random_fields)
+from conftest import (defining_equations_by_products, fields_equal,
+                      greedy_exponents_over, greedy_rbase_over, perfect_lift,
+                      random_element, random_field, random_fields)
 
 
 @pytest.fixture
@@ -249,9 +251,10 @@ def _respan_to_a_smaller_field(ctx, mp):
     F = Subfield.base(ctx)
     for g in roots(ctx, [("X", 1), ("Y", 1)]):
         F = F.adjoin(g)
-    real = Subfield.span
-    mp.setattr(Subfield, "span", classmethod(
-        lambda cls, ctx, gens: real(ctx, gens[:1])))
+    real = Subfield._greedy_chain
+    mp.setattr(Subfield, "_greedy_chain", classmethod(
+        lambda cls, ctx, gens, degree_log=None:
+        real(ctx, gens[:1], degree_log)))
     return F.greedy_rbase
 
 
@@ -709,6 +712,44 @@ def test_defining_equations_reconstruct_over_rational_rbases():
         rational += any(not c.body.den.is_one()
                         for c in inv.defining_equations(K).values())
     assert rational >= len(fields) // 2
+
+
+def rational_yaml_fields():
+    """K, L, K ∩ L and KL of the golden document rational.yaml, whose
+    generators carry multi-term denominators."""
+    text = (Path(__file__).parent / "golden" / "rational.yaml").read_text()
+    cfg = load_config(text)
+    K, L = (Subfield.span(cfg.ctx, cfg.fields[name]) for name in "KL")
+    return [K, L, K.intersect(L), K.compositum(L)]
+
+
+def test_defining_equations_match_perfelem_route(small_corpus):
+    """The columns are vec_mul products of the powers' vectors, scaled by
+    the product of the powers' denominators; the coefficients equal those
+    of the route that multiplies PerfElem powers and embeds each w_eps
+    afresh."""
+    fields = (small_corpus + rational_yaml_fields()
+              + rational_fields(2201, 40))
+    solved = 0
+    for K in fields:
+        eqs = inv.defining_equations(K)
+        assert eqs == defining_equations_by_products(K), K
+        solved += bool(eqs)
+    assert solved >= 50
+
+
+def test_defining_equations_make_no_perfelem_product(monkeypatch):
+    """exe1:3's ten equations are solved from vectors alone: no PerfElem
+    product or power is formed."""
+    K = family("exe1", n=3).stage(3)
+    K.greedy_rbase()
+    calls = []
+    for name in ("__mul__", "__pow__"):
+        real = getattr(PerfElem, name)
+        monkeypatch.setattr(PerfElem, name, lambda a, b, real=real:
+                            calls.append(b) or real(a, b))
+    assert len(inv.defining_equations(K)) == 10
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pinsep import polynomials
 from pinsep.exprs import render_element
 from pinsep.perfect import Context, PerfElem
 from pinsep.polynomials import (MultiPoly, RatFunc, VariableCountMismatch,
@@ -345,6 +346,41 @@ def test_exact_div_by_multi_term_divisor_matches_divmod(args):
             mp_exact_div(f, g)
     with pytest.raises(ZeroDivisionError):
         mp_exact_div(f, MultiPoly.zero(f.p, f.nvars))
+    assert mp_exact_div(g, MultiPoly(g.p, g.nvars, dict(g.terms))).is_one()
+
+
+def test_sum_over_one_multi_term_denominator_runs_no_division_loop(
+        monkeypatch):
+    """1/(X+Y) + X/(X+Y): RatFunc.__add__ learns g = gcd(den, den) = den
+    and divides den by it twice; mp_exact_div answers 1 for a divisor
+    equal to the dividend before its graded-lex loop, so no leading term
+    is sought inside it.  The other divisions, inside gcd(1 + X, X + Y),
+    are by a single term or by the dividend itself."""
+    X, Y = var(2, 2, 0), var(2, 2, 1)
+    one = MultiPoly.one(2, 2)
+    den = X + Y
+    divisions, keys = [], []
+    real_div, real_key = polynomials.mp_exact_div, polynomials.grlex_key
+
+    def div(f, g):
+        divisions.append((f, g))
+        keys.append(None)
+        try:
+            return real_div(f, g)
+        finally:
+            keys.pop()
+
+    def key(e):
+        if keys:
+            keys.append(e)
+        return real_key(e)
+
+    a, b, expected = RatFunc(one, den), RatFunc(X, den), RatFunc(one + X, den)
+    monkeypatch.setattr(polynomials, "mp_exact_div", div)
+    monkeypatch.setattr(polynomials, "grlex_key", key)
+    assert a + b == expected
+    assert divisions.count((den, den)) == 2
+    assert keys == []
 
 
 def schoolbook_product(f, g):

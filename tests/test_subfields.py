@@ -19,9 +19,11 @@ from pinsep.subfields import (InternalInconsistency, RBase, Subfield, _log_p,
 from pinsep.towers import family
 
 from conftest import (FractionEchelon, fields_equal, fractions,
-                      frobenius_image_by_span, greedy_rbase_over,
-                      perfect_lift, quotients, random_element, random_field,
-                      random_fields, rank, vec_add_scaled, vector)
+                      frobenius_image_by_span, greedy_rbase_by_span,
+                      greedy_rbase_over, perfect_lift, quotients,
+                      random_element, random_field, random_fields, rank,
+                      truncation_by_kernel, vec_add_scaled,
+                      vec_mul_by_products, vector)
 
 
 @pytest.fixture
@@ -156,6 +158,60 @@ def test_vec_mul_of_quotients_is_vector_of_product(p, data):
     for m in range(low, low + 2):
         assert fractions(vec_mul(ctx, m, to_vector(a, m), to_vector(b, m))) \
             == fractions(to_vector(a * b, m))
+
+
+def entry_terms(v):
+    """A vector's entries as plain term dicts, to see that none changed."""
+    return {k: dict(c.terms) for k, c in v.items()}
+
+
+def check_vec_mul_against_products(ctx, m, a, b):
+    """vec_mul equals the entry-by-entry product route and leaves both
+    operands, their entries included, as they were."""
+    before = entry_terms(a), entry_terms(b), dict(a), dict(b)
+    assert vec_mul(ctx, m, a, b) == vec_mul_by_products(ctx, m, a, b)
+    after = entry_terms(a), entry_terms(b)
+    assert after == before[:2]
+    assert all(a[k] is c for k, c in before[2].items())
+    assert all(b[k] is c for k, c in before[3].items())
+
+
+@given(st.sampled_from([2, 3]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_vec_mul_with_unit_entries_matches_products(p, data):
+    """An entry 1 on either side, or on both, at a drawn key: the product
+    vec_mul takes as the other entry itself matches the product formed
+    by MultiPoly.__mul__."""
+    ctx = Context(p, ("X", "Y"))
+    one = MultiPoly.one(p, ctx.nvars)
+    a = data.draw(quotients(ctx))
+    b = data.draw(quotients(ctx))
+    m = max(a.level, b.level, 1)
+    keys = st.tuples(*[st.integers(0, p ** m - 1)] * ctx.nvars)
+    va, vb = to_vector(a, m), to_vector(b, m)
+    unit_a = {**va, data.draw(keys): one}
+    unit_b = {**vb, data.draw(keys): one}
+    for x, y in [(unit_a, vb), (va, unit_b), (unit_a, unit_b),
+                 ({(0,) * ctx.nvars: one}, vb)]:
+        check_vec_mul_against_products(ctx, m, x, y)
+        check_vec_mul_against_products(ctx, m, y, x)
+
+
+@pytest.mark.parametrize("name,n", [("exe1", 3), ("exe2", 3), ("exe4", 3),
+                                    ("exe6", 2), ("modular_diag", 3)])
+def test_vec_mul_of_canonical_rows_matches_products(name, n):
+    """The products an adjunction makes: K's canonical rows, each 1 at
+    its pivot, times the vector of each generator of K; and each row
+    times the next, where both sides hold a 1."""
+    K = family(name).stage(n)
+    rows = K.basis_vectors()
+    assert any(row[min(row)].is_one() for row in rows)
+    for g in K.gens:
+        gvec = to_vector(g, K.level)
+        for row in rows:
+            check_vec_mul_against_products(K.ctx, K.level, row, gvec)
+    for row, nxt in zip(rows, rows[1:]):
+        check_vec_mul_against_products(K.ctx, K.level, row, nxt)
 
 
 # ----------------------------------------------------------------------
@@ -430,11 +486,15 @@ def test_truncation_solves_no_nullspace(small_corpus, monkeypatch):
 
 def test_truncation_inserts_pivoted_rows_once(monkeypatch):
     """k_1 of exe1 stage 3 costs one insert per row of K pivoted inside
-    A_1 and nothing else: the rows pivoted in block 1 are already k_1's
-    reduced basis and seed its echelon as they are."""
+    A_1 that crosses A_1, 11 of the 13, and nothing else: a row wholly
+    inside A_1 is a row of k_1 as it is, and the rows pivoted in block 1
+    of the kernel are already k_1's reduced basis and seed its echelon
+    as they are."""
     K = family("exe1", n=3).stage(3)
     step = K.ctx.p ** (K.level - 1)
-    inside = [e for e in K._echelon.rows if not any(x % step for x in e)]
+    off = lambda e: any(x % step for x in e)
+    inside = [row for piv, row in K._echelon.rows.items() if not off(piv)]
+    crossing = [row for row in inside if any(map(off, row))]
     calls = []
     real = Echelon.insert
 
@@ -444,8 +504,95 @@ def test_truncation_inserts_pivoted_rows_once(monkeypatch):
 
     monkeypatch.setattr(Echelon, "insert", counting)
     k1 = K.truncation(1)
-    assert len(calls) == len(inside)
+    assert (len(calls), len(inside)) == (len(crossing), 13) == (11, 13)
     assert len(inside) < K.degree and k1.degree > 1
+
+
+def check_truncations_against_kernel(K):
+    """Each k_n, n below K's level, has exactly the reduced rows of the
+    kernel over every row of K pivoted inside A_n."""
+    for n in range(K.level):
+        assert (K.truncation(n).basis_vectors(K.level)
+                == truncation_by_kernel(K, n)), (K, n)
+
+
+def family_stages():
+    """Every stage of every built-in family, at its default parameters."""
+    for name in ("exe1", "exe2", "exe4", "exe6", "modular_diag",
+                 "nonmodular_basic"):
+        fam = family(name)
+        for s in range(fam.max_stage + 1):
+            yield fam.stage(s)
+
+
+def test_truncation_matches_kernel_of_all_inside_rows(small_corpus):
+    for K in small_corpus:
+        check_truncations_against_kernel(K)
+    for K in family_stages():
+        check_truncations_against_kernel(K)
+
+
+def test_modular_diag_truncations_make_no_insert(monkeypatch):
+    """Every row of modular_diag:3 pivoted inside A_n lies wholly inside
+    A_n, so each of its truncations keeps those rows and inserts
+    nothing."""
+    K = family("modular_diag").stage(3)
+    K.basis_vectors()
+    calls = []
+    real = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert",
+                        lambda self, v: calls.append(v) or real(self, v))
+    degrees = [K.truncation(n).degree_log for n in range(K.level)]
+    assert calls == []
+    assert degrees == [0, 2, 4]
+
+
+def unspanned_fields(small_corpus):
+    """Fields no span made, whose greedy r-base comes from the re-span:
+    the truncations of the corpus and of every family stage, the
+    intersections of corpus fields over one context, and K.adjoin(e)
+    for a random e."""
+    rng = random.Random(2909)
+    stages = list(family_stages())
+    for K in small_corpus + stages:
+        for n in range(1, K.level):
+            yield K.truncation(n)
+    for K in small_corpus + stages[-4:]:
+        yield K.adjoin(random_element(K.ctx, rng, max_level=1, max_terms=2))
+    for K, L in zip(small_corpus, small_corpus[1:]):
+        if K.ctx == L.ctx:
+            yield K.intersect(L)
+
+
+def test_respan_greedy_rbase_matches_full_span(small_corpus):
+    """The re-span stops at the field's known degree; its RBase is that
+    of a span whose rounds run until every generator left scores 0."""
+    kinds = 0
+    for F in unspanned_fields(small_corpus):
+        assert F.greedy_rbase() == greedy_rbase_by_span(F), F
+        kinds += F.degree_log > 0
+    assert kinds >= 70
+
+
+def test_respan_builds_no_basis_for_its_last_field():
+    """k_2 of exe1:3: the re-span's chain reaches [k_2 : k] and stops, so
+    its last field, whose basis a further round would build to score the
+    leftover generators, is never built."""
+    k2 = family("exe1", n=3).stage(3).truncation(2)
+    chains = []
+    real = Subfield._greedy_chain
+
+    def recording(cls, ctx, gens, degree_log=None):
+        out = real(ctx, gens, degree_log)
+        chains.append(out[0])
+        return out
+
+    with mock.patch.object(Subfield, "_greedy_chain", classmethod(recording)):
+        rbase = k2.greedy_rbase()
+    last, = chains
+    assert last.degree_log == k2.degree_log and len(rbase) > 1
+    assert last._basis is None
+    assert rbase == greedy_rbase_by_span(k2)
 
 
 def row_fractions(rows):
