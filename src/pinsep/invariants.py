@@ -55,7 +55,7 @@ def rbase_extract(K: Subfield) -> RBase:
 
 def di(K: Subfield) -> int:
     """Degree of irrationality di(K/k) = log_p [K : k(K^p)]."""
-    return K.degree_log - K.frobenius_image(1).degree_log
+    return K.degree_log - K.degree_log_over_lifted_base(1)
 
 
 def canonical_rbase(K: Subfield) -> RBase:
@@ -75,8 +75,8 @@ def exponents_by_di(K: Subfield, s: int) -> int:
         raise ValueError("s must be >= 1")
     m = 0
     while True:
-        if (K.frobenius_image(m).degree_log
-                - K.frobenius_image(m + 1).degree_log) < s:
+        if (K.degree_log_over_lifted_base(m)
+                - K.degree_log_over_lifted_base(m + 1)) < s:
             return m
         m += 1
 
@@ -210,7 +210,7 @@ def frobenius_bounds(K: Subfield, n: int):
     A_n(K) over A_n = k^(1/p^n), and K ⊆ A_e gives k(K^(p^(e-n))) ⊆
     K ∩ A_n = k_n, so lifted <= log_p [K : k_n] <= upper."""
     lifted = K.degree_log_over_lifted_base(n)
-    return lifted, K.degree_log - K.frobenius_image(K.level - n).degree_log
+    return lifted, K.degree_log - K.degree_log_over_lifted_base(K.level - n)
 
 
 def _modular_by_disjointness(K: Subfield):
@@ -258,7 +258,8 @@ def rp_chain(K: Subfield):
     By Pickert's theorem [k(K^(p^j)) : k] = p^(sum of max(o_i - j, 0)),
     so the chain falls strictly to k at j = o_1(K/k), K's level, and is
     returned through its first repeated term k, at j = o_1(K/k) + 1.
-    For K = k it is just [k].
+    For K = k it is just [k].  Its degrees alone are
+    K.degree_log_over_lifted_base(j), which makes no field.
     """
     return [K.frobenius_image(j) for j in range(1, K.level + 2)]
 

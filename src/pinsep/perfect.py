@@ -199,8 +199,11 @@ class PerfElem:
 
     def render(self) -> str:
         """Expression-grammar text; parse(render(e)) reproduces e exactly."""
-        from .exprs import render_element
-        return render_element(self)
+        return exprs.render_element(self)
 
     def __repr__(self):
         return f"PerfElem({self.render()})"
+
+
+# exprs imports this module's names, so it is bound here, once they exist.
+from . import exprs  # noqa: E402

@@ -16,6 +16,13 @@ from .subfields import Subfield, to_vector
 SCHEMA_VERSION = 1
 
 
+def _generator_texts(K: Subfield) -> tuple:
+    """The texts of K.gens, in order, rendered once per field and kept on
+    K: the field header and the r-base report, whose greedy r-base
+    elements are among K.gens, both read them."""
+    return K.memo("generator_texts", lambda: tuple(g.render() for g in K.gens))
+
+
 def _field_header(K: Subfield, name=None):
     head = {
         "schema_version": SCHEMA_VERSION,
@@ -24,7 +31,7 @@ def _field_header(K: Subfield, name=None):
     }
     if name:
         head["field"] = name
-    head["generators"] = [g.render() for g in K.gens]
+    head["generators"] = list(_generator_texts(K))
     return head
 
 
@@ -46,8 +53,8 @@ def invariant_report(K: Subfield, name=None, oracle=False,
     rep["modular"] = {"verdict": verdict, "witness": witness}
     eq, e = inv.is_equiexponential(K)
     rep["equiexponential"] = {"verdict": eq, "exponent": e}
-    chain = inv.rp_chain(K)
-    rep["rp_chain_degree_logs"] = [L.degree_log for L in chain]
+    rep["rp_chain_degree_logs"] = [K.degree_log_over_lifted_base(j)
+                                   for j in range(1, K.level + 2)]
     if utable is not None:
         rep["utable"] = utable
     if oracle:
@@ -58,38 +65,41 @@ def invariant_report(K: Subfield, name=None, oracle=False,
 def oracle_checks(K: Subfield) -> dict:
     """Independent re-derivations; raises on disagreement (CI profile).
 
-    Bases are built on first use, so a report may read only the degree
-    of K and of its Frobenius images.  Here the bases of K and of each
-    k(K^(p^j)) with 1 <= j <= o_1(K/k) + 1 (every image the report, the
-    rp chain and the by-di exponents ask about) are built first, so the
-    insert check of every adjunction behind them runs before any degree
-    is compared.  Each image is read off K's greedy r-base, so its degree
-    is checked against an independent route: k(K^(p^j)) is the k-span
-    of the b^(p^j) over a k-basis b of K, so its degree is their rank.
-    The greedy exponents are then re-derived from the degrees of the
-    images; by Pickert's theorem those degrees follow from the greedy
-    exponents themselves, so this comparison is independent only
-    through the rank check above.  rbase_extract checks the size of an
-    r-base taken from K's generators against di(K/k).  The disjointness
-    test computes k_n only where its Frobenius bounds leave [K : k_n]
-    open; here every k_n with 1 <= n < o_1(K/k) is computed and checked
-    against them.
+    Bases are built on first use, and a report reads only degrees: K's,
+    and those of its Frobenius images k(K^(p^j)), which
+    degree_log_over_lifted_base reads off the greedy exponents without
+    making the images.  Here the bases of K and of every field of its rp
+    chain, the images with 1 <= j <= o_1(K/k) + 1, are built first, so
+    the insert check of every adjunction behind them runs before any
+    degree is compared.  Each image is read off K's greedy r-base, so
+    its degree, and the degree the report prints for it, are checked
+    against an independent route: k(K^(p^j)) is the k-span of the
+    b^(p^j) over a k-basis b of K, so its degree is their rank.  The
+    greedy exponents are then re-derived from those degrees; by
+    Pickert's theorem the degrees follow from the greedy exponents
+    themselves, so this comparison is independent only through the rank
+    check above.  rbase_extract checks the size of an r-base taken from
+    K's generators against di(K/k).  The disjointness test computes k_n
+    only where its Frobenius bounds leave [K : k_n] open; here every k_n
+    with 1 <= n < o_1(K/k) is computed and checked against them.
     """
     K.basis_vectors()
-    for j in range(1, K.level + 2):
-        K.frobenius_image(j).basis_vectors()
+    chain = inv.rp_chain(K)
+    for image in chain:
+        image.basis_vectors()
     basis = K.basis_elements()
-    for j in range(1, K.level + 2):
+    for j, image in enumerate(chain, start=1):
         powers = [b.frob(j) for b in basis]
         level = max(b.level for b in powers)
         ech = Echelon()
         for b in powers:
             ech.insert(to_vector(b, level))
-        image = K.frobenius_image(j)
-        if len(ech) != image.degree:
+        lifted = K.degree_log_over_lifted_base(j)
+        if not len(ech) == image.degree == K.ctx.p ** lifted:
             raise inv.InternalInconsistency(
-                f"k(K^(p^{j})) has degree p^{image.degree_log}, but the "
-                f"p^{j}-th powers of K's basis span {len(ech)} dimensions")
+                f"k(K^(p^{j})) has degree p^{image.degree_log} and the "
+                f"greedy exponents give it p^{lifted}, but the p^{j}-th "
+                f"powers of K's basis span {len(ech)} dimensions")
     base = inv.canonical_rbase(K)
     by_di = [inv.exponents_by_di(K, s) for s in range(1, len(base) + 2)]
     greedy = list(base.exponents) + [0]
@@ -115,7 +125,8 @@ def rbase_report(K: Subfield, name=None) -> dict:
     rep = _field_header(K, name)
     rep["kind"] = "rbase"
     base = inv.canonical_rbase(K)
-    rep["rbase"] = [g.render() for g in base.elements]
+    texts = _generator_texts(K)
+    rep["rbase"] = [texts[K.gens.index(g)] for g in base.elements]
     rep["exponents"] = list(base.exponents)
     eqs = inv.defining_equations(K)
     rep["defining_equations"] = [

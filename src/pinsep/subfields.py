@@ -28,7 +28,8 @@ Körpererweiterungen", Math. Z. 52, 1950): if (g_1, o_1), ..., (g_r, o_r)
 is a greedy r-base of K/k, the g_i^(p^j) with o_i > j, in that order,
 are a greedy r-base of k(K^(p^j))/k with exponents o_i - j.  So
 k(K^(p^j)) is the chain adjoining them with those exponents, its degree
-is known at once, and nothing is spanned or scored to make it.
+p^(sum of max(o_i - j, 0)) is known at once, and nothing is spanned or
+scored to make it.  A caller that needs only that degree makes no image.
 
 Questions that levels alone settle never build a basis: an element of
 level 0 lies in k and so in every field, an element above a field's
@@ -199,12 +200,13 @@ class Subfield:
 
     @classmethod
     def base(cls, ctx: Context) -> "Subfield":
-        """k itself; its one-row basis {1} is built on first use."""
+        """k itself.  Its one-row basis {1}, a canonical reduced row at
+        its own pivot, seeds its echelon on first use, with no insert."""
 
         def build():
-            ech = Echelon()
-            ech.insert({(0,) * ctx.nvars: MultiPoly.one(ctx.p, ctx.nvars)})
-            return ech
+            one = (0,) * ctx.nvars
+            return Echelon.from_reduced(
+                {one: {one: MultiPoly.one(ctx.p, ctx.nvars)}})
 
         return cls(ctx, 0, (), 0, build, _private=_TOKEN)
 
@@ -444,7 +446,11 @@ class Subfield:
         checks each image's degree against the rank of the p^j-th powers
         of K's basis.
 
-        Memoized per j: di, rp_chain and the disjointness test share it.
+        Only callers that need the field itself make it: the walk of
+        rbase_extract, the family claims and the oracle, which builds
+        every image through rp_chain.  Those that need only its degree
+        read degree_log_over_lifted_base, which makes no field.  Memoized
+        per j.
         """
         if j < 0:
             raise ValueError(f"frobenius_image takes j >= 0, got {j}")
@@ -531,9 +537,13 @@ class Subfield:
         """log_p [A_n(K) : A_n] with A_n = k^(1/p^n), read as [k(K^(p^n)) : k].
 
         The n-th power of Frobenius maps A_n onto k and A_n(K) onto
-        k(K^(p^n)), and an isomorphism preserves degrees.
+        k(K^(p^n)), and an isomorphism preserves degrees.  By Pickert's
+        theorem (module docstring) that degree is p^(sum of max(o - n, 0))
+        over the greedy exponents o of K/k, the degree frobenius_image(n)
+        has by construction, so no image field is made; for n = 0 the
+        sum is [K : k].
         """
-        return self.frobenius_image(n).degree_log
+        return sum(o - n for o in self.greedy_rbase().exponents if o > n)
 
     def _check(self, other: "Subfield"):
         if self.ctx != other.ctx:

@@ -11,6 +11,7 @@ from pinsep.linalg import Echelon, InconsistentSystem, kernel, solve
 from pinsep.perfect import Context, PerfElem
 from pinsep.polynomials import MultiPoly, RatFunc, mp_exact_div, mp_gcd
 from pinsep.subfields import RBase, Subfield, to_vector
+from pinsep.towers import family
 
 VAR_NAMES = ("X", "Y", "Z")
 
@@ -105,6 +106,15 @@ def small_corpus():
 def acceptance_corpus():
     """The >= 200 field corpus shared by the acceptance criteria."""
     return field_corpus(20240817, 200)
+
+
+def family_stages():
+    """Every stage of every built-in family, at its default parameters."""
+    for name in ("exe1", "exe2", "exe4", "exe6", "modular_diag",
+                 "nonmodular_basic"):
+        fam = family(name)
+        for s in range(fam.max_stage + 1):
+            yield fam.stage(s)
 
 
 def fields_equal(a, b):

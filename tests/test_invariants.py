@@ -2,12 +2,13 @@
 modularity, equiexponentiality, rp chains, U-tables, parity lengths."""
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from pinsep import invariants as inv, report, subfields
+from pinsep import exprs, invariants as inv, report, subfields
 from pinsep.cli import load_config
 from pinsep.exprs import parse_element
 from pinsep.linalg import Echelon
@@ -15,9 +16,10 @@ from pinsep.perfect import Context, PerfElem
 from pinsep.subfields import InternalInconsistency, RBase, Subfield
 from pinsep.towers import family
 
-from conftest import (defining_equations_by_products, fields_equal,
-                      greedy_exponents_over, greedy_rbase_over, perfect_lift,
-                      random_element, random_field, random_fields)
+from conftest import (defining_equations_by_products, family_stages,
+                      fields_equal, greedy_exponents_over, greedy_rbase_over,
+                      perfect_lift, random_element, random_field,
+                      random_fields)
 
 
 @pytest.fixture
@@ -239,8 +241,13 @@ def test_span_refuses_a_rising_exponent_list(ctx, monkeypatch):
 
 def _drop_first_seed_row(ctx, mp):
     """K(e)'s build seeds its echelon without one of K's rows, so the
-    first basis built, k(X^(1/4))'s, ends one row short of its
-    tower-law degree."""
+    first basis built on top of k, k(X^(1/4))'s, ends one row short of
+    its tower-law degree.  k's own one-row basis, which seeds its echelon
+    the same way, is built before the patch, and the span starts from
+    that k."""
+    k = Subfield.base(ctx)
+    k.basis_vectors()
+    mp.setattr(Subfield, "base", classmethod(lambda cls, ctx: k))
     real = Echelon.from_reduced
     mp.setattr(Echelon, "from_reduced", classmethod(
         lambda cls, rows: real(dict(list(rows.items())[1:]))))
@@ -308,6 +315,13 @@ def _exponents_by_di_off(ctx, mp):
     return lambda: report.oracle_checks(section5(ctx))
 
 
+def _lifted_degree_off_by_one(ctx, mp):
+    real = Subfield.degree_log_over_lifted_base
+    mp.setattr(Subfield, "degree_log_over_lifted_base",
+               lambda self, n: real(self, n) + 1)
+    return lambda: report.oracle_checks(section5(ctx))
+
+
 def _truncation_is_the_field(ctx, mp):
     mp.setattr(Subfield, "truncation", lambda self, n: self)
     return lambda: report.oracle_checks(section5(ctx))
@@ -315,7 +329,8 @@ def _truncation_is_the_field(ctx, mp):
 
 @pytest.mark.parametrize("fire,needle", [
     (_intersection_of_three_rows, "dimension 3 is not a power of 2"),
-    (_drop_first_seed_row, "built a basis of 3 rows for a field of degree 2"),
+    (_drop_first_seed_row,
+     r"built a basis of 3 rows for a field of degree 2\^2$"),
     (_respan_to_a_smaller_field, "span of its generators differ"),
     (_intersection_of_nothing, "lost the unit"),
     (_truncation_of_everything, "left elements above the cut"),
@@ -324,11 +339,15 @@ def _truncation_is_the_field(ctx, mp):
     (_constant_exponents_claimed, "equiexponential degree test disagrees"),
     (_exponents_growing_with_the_level, "U-table row 1 decreased"),
     (_exponents_by_di_off, "exponent computations disagree"),
+    (_lifted_degree_off_by_one,
+     r"greedy exponents give it p\^2, but the p\^1-th powers of K's basis "
+     r"span 2 dimensions"),
     (_truncation_is_the_field, "outside its Frobenius bounds"),
 ], ids=["intersection_dimension", "basis_size", "respan_degree",
         "intersection_unit", "truncation_cut", "defining_equations",
         "modularity_methods", "equiexponential", "utable_row",
-        "oracle_exponents", "oracle_truncation_bounds"])
+        "oracle_exponents", "oracle_lifted_degree",
+        "oracle_truncation_bounds"])
 def test_internal_checks_fire(ctx, monkeypatch, fire, needle):
     """Each structural check raises InternalInconsistency when one of
     its collaborators is patched to break the invariant it guards."""
@@ -341,22 +360,21 @@ def test_bases_are_built_on_first_use(ctx, monkeypatch):
     basis is built when a generator of level >= 1 and at most its level
     is tested as a member, and K(e) starts from K's reduced rows, so it
     inserts only the layers b*e^l with l >= 1.  The span builds k (its
-    one row), k(X^(1/4)) (3 more) and k(X^(1/4), Y^(1/2)) (4 more), the
-    last of which is K, built when the last round tests
-    X^(1/2)*Y^(1/2) against it.  canonical_rbase reads the greedy pairs
-    the span kept and inserts nothing.  di builds nothing,
-    as k(K^2) = k(X^(1/2), Y, XY) only asks about X^(1/2), which lies
-    above k's level, and about Y and XY, which lie in k."""
+    one row, seeded with no insert), k(X^(1/4)) (3 inserts) and
+    k(X^(1/4), Y^(1/2)) (4 more), the last of which is K, built when the
+    last round tests X^(1/2)*Y^(1/2) against it.  canonical_rbase reads
+    the greedy pairs the span kept and inserts nothing.  di reads the
+    degree of k(K^2) off those pairs' exponents and builds nothing."""
     calls = []
     real = Echelon.insert
     monkeypatch.setattr(Echelon, "insert",
                         lambda self, v: calls.append(v) or real(self, v))
     K = Subfield.span(ctx, three_gens(ctx))
-    assert len(calls) == 1 + 3 + 4
+    assert len(calls) == 3 + 4
     inv.canonical_rbase(K)
-    assert len(calls) == 8
+    assert len(calls) == 7
     assert inv.di(K) == 2
-    assert len(calls) == 8
+    assert len(calls) == 7
 
 
 def test_canonical_rbase_reuses_the_span_fields(monkeypatch):
@@ -909,32 +927,42 @@ def test_invariant_report_spans_each_field_once(monkeypatch):
     assert builds and all(len(ids) == 1 for ids in builds.values()), builds
 
 
+def check_report_work(K, monkeypatch):
+    """The invariant and r-base reports of K read the degrees of its
+    Frobenius images off the greedy exponents, so neither asks for an
+    image, and they render each generator of K once, for the header and
+    the r-base alike."""
+    images = []
+    real_image = Subfield.frobenius_image
+    monkeypatch.setattr(Subfield, "frobenius_image",
+                        lambda self, j: images.append(j) or real_image(self, j))
+    rendered = []
+    real_render = exprs.render_element
+    monkeypatch.setattr(exprs, "render_element",
+                        lambda e: rendered.append(e) or real_render(e))
+    report.invariant_report(K)
+    report.rbase_report(K)
+    monkeypatch.undo()
+    assert images == []
+    ids = {id(g) for g in K.gens}
+    renders = Counter(id(e) for e in rendered if id(e) in ids)
+    assert renders == Counter(ids), K
+
+
 @pytest.mark.parametrize("name,n", [("exe1", 3), ("exe2", 3), ("exe4", 3),
                                     ("exe6", 2), ("modular_diag", 3)])
 def test_reports_build_no_frobenius_image(name, n, monkeypatch):
-    """Without the oracle, the invariant and r-base reports read only the
-    degrees of the Frobenius images: no field made while an image is
-    constructed, the image and its whole chain from k, builds a basis."""
-    K = family(name).stage(n)
-    made = []
-    real_init = Subfield.__init__
+    check_report_work(family(name).stage(n), monkeypatch)
 
-    def recording_init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        made.append(self)
 
-    real_image = Subfield.frobenius_image
-
-    def recording_image(self, j):
-        with monkeypatch.context() as mp:
-            mp.setattr(Subfield, "__init__", recording_init)
-            return real_image(self, j)
-
-    monkeypatch.setattr(Subfield, "frobenius_image", recording_image)
-    report.invariant_report(K)
-    report.rbase_report(K)
-    assert made
-    assert [F for F in made if F._basis is not None] == []
+def test_reports_of_every_stage_and_corpus_field_make_no_image(
+        small_corpus, monkeypatch):
+    """check_report_work on every stage of every built-in family and on
+    a fresh span of each small_corpus field's generators."""
+    fields = list(family_stages())
+    fields += [Subfield.span(K.ctx, K.gens) for K in small_corpus]
+    for K in fields:
+        check_report_work(K, monkeypatch)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,9 @@ name or as an attribute) in that same module.
 
 Every function and method must have a caller in the library itself:
 code that only the tests reach belongs with the tests.
+
+No function body runs an import statement, which costs a lookup on
+every call, apart from the optional dependency PyYAML.
 """
 
 import ast
@@ -169,3 +172,41 @@ def test_detector_flags_a_function_nothing_calls():
          "main()\n")
     assert unreferenced_functions({"a": a, "b": b}) == [
         ("a", 7, "row"), ("a", 11, "unused")]
+
+
+# Imports a function body may run: PyYAML, needed only for --context.
+IMPORTED_AT_CALL = {("cli.py", "load_config", "yaml")}
+
+
+def imports_in_functions(module, source):
+    """(module, function, name) for each name that an import statement
+    inside a function body binds, nested functions included."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.update((module, fn.name, alias.asname or alias.name)
+                             for alias in node.names)
+    return found
+
+
+def test_no_function_body_runs_an_import():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= imports_in_functions(path.name, path.read_text())
+    assert found == IMPORTED_AT_CALL
+
+
+def test_detector_flags_an_import_in_a_function_body():
+    """A deferred import in a method is flagged; one at module level,
+    the bottom of the module included, is not."""
+    source = ("from .polynomials import RatFunc\n"
+              "class PerfElem:\n"
+              "    def render(self):\n"
+              "        from .exprs import render_element\n"
+              "        return render_element(self)\n"
+              "from . import exprs\n")
+    assert imports_in_functions("perfect.py", source) == {
+        ("perfect.py", "render", "render_element")}

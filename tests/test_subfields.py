@@ -18,8 +18,8 @@ from pinsep.subfields import (InternalInconsistency, RBase, Subfield, _log_p,
                               from_vector, to_vector, vec_mul)
 from pinsep.towers import family
 
-from conftest import (FractionEchelon, fields_equal, fractions,
-                      frobenius_image_by_span, greedy_rbase_by_span,
+from conftest import (FractionEchelon, family_stages, fields_equal,
+                      fractions, frobenius_image_by_span, greedy_rbase_by_span,
                       greedy_rbase_over, perfect_lift, quotients,
                       random_element, random_field, random_fields, rank,
                       truncation_by_kernel, vec_add_scaled,
@@ -514,15 +514,6 @@ def check_truncations_against_kernel(K):
     for n in range(K.level):
         assert (K.truncation(n).basis_vectors(K.level)
                 == truncation_by_kernel(K, n)), (K, n)
-
-
-def family_stages():
-    """Every stage of every built-in family, at its default parameters."""
-    for name in ("exe1", "exe2", "exe4", "exe6", "modular_diag",
-                 "nonmodular_basic"):
-        fam = family(name)
-        for s in range(fam.max_stage + 1):
-            yield fam.stage(s)
 
 
 def test_truncation_matches_kernel_of_all_inside_rows(small_corpus):
@@ -1168,3 +1159,39 @@ def test_frobenius_images_match_span_route_on_stages(name, n):
 @settings(max_examples=25, deadline=None)
 def test_frobenius_images_match_span_route_random(K):
     check_frobenius_images_against_span(K)
+
+
+def check_lifted_degrees_against_span(K):
+    """degree_log_over_lifted_base(j), read off K's greedy exponents, is
+    the degree of the span of the p^j-th powers of K's generators for
+    every 0 <= j <= level + 1, and the report's rp chain degrees are
+    those of the image fields."""
+    for j in range(K.level + 2):
+        assert (K.degree_log_over_lifted_base(j)
+                == frobenius_image_by_span(K, j).degree_log), (K, j)
+    assert (report.invariant_report(K)["rp_chain_degree_logs"]
+            == [L.degree_log for L in invariants.rp_chain(K)])
+
+
+def test_lifted_degrees_match_span_route(small_corpus):
+    """Spans (small_corpus, every family stage), the fields no span made
+    (truncations, intersections, K.adjoin(e)) and images of images."""
+    stages = list(family_stages())
+    fields = small_corpus + stages + list(unspanned_fields(small_corpus))
+    fields += [K.frobenius_image(1).frobenius_image(1)
+               for K in small_corpus + stages]
+    for K in fields:
+        check_lifted_degrees_against_span(K)
+
+
+def test_base_field_basis_makes_no_insert(ctx, monkeypatch):
+    """k's one row {0: 1} is canonical and reduced, so it seeds k's
+    echelon as it is."""
+    calls = []
+    real = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert",
+                        lambda self, v: calls.append(v) or real(self, v))
+    one = (0, 0, 0)
+    assert Subfield.base(ctx).basis_vectors() == [{one: MultiPoly.one(2, 3)}]
+    assert calls == []
+
